@@ -161,10 +161,17 @@ def train_svm(
 
 
 def _grow_tree(
-    x: np.ndarray, y: np.ndarray, depth: int, config: TrainConfig
+    x: np.ndarray, y: np.ndarray, sorted_rows: np.ndarray, depth: int, config: TrainConfig
 ) -> TreeNode:
-    n = len(y)
-    n_pos = int(np.sum(y))
+    """Grow the subtree over the rows in sorted_rows.
+
+    sorted_rows[j] lists the node's row indices ordered by column j, ties in
+    ascending row index: the order a stable argsort of the node's rows in
+    file order gives.  Children receive stable-filtered copies of the lists,
+    so no column is sorted twice.
+    """
+    n = sorted_rows.shape[1]
+    n_pos = int(np.sum(y[sorted_rows[0]]))
     prob = n_pos / n
     if (
         n_pos in (0, n)
@@ -179,10 +186,8 @@ def _grow_tree(
     best_feature = -1
     best_threshold = 0.0
     for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        vals = np.ascontiguousarray(x[order, j])
-        labs = np.ascontiguousarray(y[order])
-        score, threshold, found = kernels.split_scan(vals, labs, config.min_leaf)
+        rows = sorted_rows[j]
+        score, threshold, found = kernels.split_scan(x[rows, j], y[rows], config.min_leaf)
         if found and score > best_score:
             best_score = score
             best_feature = j
@@ -190,14 +195,18 @@ def _grow_tree(
     if best_feature < 0:
         return TreeNode(prob=prob, count=n)
 
-    go_left = x[:, best_feature] <= best_threshold
+    rows = sorted_rows[best_feature]
+    go_left = np.zeros(len(y), dtype=bool)
+    go_left[rows] = x[rows, best_feature] <= best_threshold
+    left = go_left[sorted_rows]
+    n_left = int(np.sum(go_left))
     return TreeNode(
         prob=prob,
         count=n,
         feature=best_feature,
         threshold=best_threshold,
-        left=_grow_tree(x[go_left], y[go_left], depth + 1, config),
-        right=_grow_tree(x[~go_left], y[~go_left], depth + 1, config),
+        left=_grow_tree(x, y, sorted_rows[left].reshape(-1, n_left), depth + 1, config),
+        right=_grow_tree(x, y, sorted_rows[~left].reshape(-1, n - n_left), depth + 1, config),
     )
 
 
@@ -207,13 +216,17 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
     Candidate splits sit halfway between consecutive distinct sorted values;
     a node splits on the candidate with the largest impurity decrease (even a
     zero decrease, so patterns like XOR still separate), stopping at purity,
-    max_depth, or min_leaf.
+    max_depth, or min_leaf.  Each column is sorted once, at the root.
     """
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y = data.labels.astype(np.int64)
     if len(y) < 1:
         raise ValueError("decision tree needs at least one row")
-    root = _grow_tree(x, y, 0, config)
+    # a table without feature columns still needs the root's row list
+    sorted_rows = (
+        np.argsort(x.T, axis=1, kind="stable") if x.shape[1] else np.arange(len(y))[None]
+    )
+    root = _grow_tree(x, y, sorted_rows, 0, config)
     return DecisionTreeModel(root, x.shape[1])
 
 

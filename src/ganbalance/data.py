@@ -10,6 +10,8 @@ of the sample generator downstream.
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +85,10 @@ DEGENERATE_EPS = 1e-12
 def load_csv(path, label_column: str = "Class") -> RawTable:
     """Parse a headered CSV of numeric features plus a 0/1 label column.
 
-    Raises CsvParseError with 1-based file row/column positions for malformed
-    cells, SchemaError for a missing label column or non-binary labels.
+    Every body cell must be a finite number (see ``_cell_value``).  Raises
+    CsvParseError with 1-based file row/column positions for malformed or
+    non-finite cells, blank lines and ragged rows, and SchemaError for a
+    missing label column or non-binary labels.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -99,55 +103,116 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
             )
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        values = _read_body(fh, len(header))
 
-        feature_rows = []
-        labels = []
+    if (
+        values is None
+        or not np.isfinite(values).all()
+        or not np.isin(values[:, label_idx], (0.0, 1.0)).all()
+    ):
+        _raise_first_bad_cell(path, len(header), label_idx)
+        raise SchemaError(f"{path}: the numeric reader rejected the file, "
+                          "but no cell breaks the input rules")
+    labels = values[:, label_idx].astype(np.int64)
+    return RawTable(feature_names, np.delete(values, label_idx, axis=1), labels)
+
+
+class _CountedLines:
+    """Iterates a text handle's lines and counts them."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.count = 0
+
+    def __iter__(self):
+        for line in self.fh:
+            self.count += 1
+            yield line
+
+
+def _read_body(fh, n_columns: int):
+    """The remaining lines of fh parsed as an (n, n_columns) float64 array
+    by numpy's C reader, or None when it fails or its shape disagrees with
+    the file: it skips blank lines silently, so every line must give a row."""
+    lines = _CountedLines(fh)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # warns on an empty body
+            values = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2,
+                                comments=None, quotechar='"')
+    except ValueError:
+        return None
+    if lines.count == 0:
+        return np.empty((0, n_columns))
+    if values.shape != (lines.count, n_columns):
+        return None
+    return values
+
+
+def _cell_value(cell: str, row: int, column: int) -> float:
+    """The rule every body cell follows: ASCII text that ``float`` reads,
+    with no underscore or line break, holding a finite value."""
+    try:
+        if not cell.isascii() or any(c in cell for c in "_\r\n"):
+            raise ValueError(cell)
+        value = float(cell)
+    except ValueError:
+        raise CsvParseError(f"non-numeric cell {cell!r}", row=row, column=column) from None
+    if not math.isfinite(value):
+        raise CsvParseError(f"non-finite cell {cell!r}", row=row, column=column)
+    return value
+
+
+def _raise_first_bad_cell(path, n_columns: int, label_idx: int) -> None:
+    """Re-read the file cell by cell and raise the error of the first row or
+    cell, in file order, that breaks the input rules.  Returns only when
+    every row follows them."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row_pos, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+            if len(row) != n_columns:
                 raise CsvParseError(
-                    f"expected {len(header)} cells, found {len(row)}",
+                    f"expected {n_columns} cells, found {len(row)}",
                     row=row_pos,
-                    column=min(len(row) + 1, len(header)),
+                    column=min(len(row) + 1, n_columns),
                 )
-            parsed = np.empty(len(header) - 1)
-            j = 0
-            for col_pos, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"non-numeric cell {cell!r}",
-                        row=row_pos,
-                        column=col_pos + 1,
-                    ) from None
-                if col_pos == label_idx:
-                    if value not in (0.0, 1.0):
-                        raise SchemaError(
-                            f"label must be 0 or 1, found {cell!r} "
-                            f"(row {row_pos}, column {col_pos + 1})"
-                        )
-                    labels.append(int(value))
-                else:
-                    parsed[j] = value
-                    j += 1
-            feature_rows.append(parsed)
-
-    n = len(feature_rows)
-    features = (
-        np.vstack(feature_rows) if n else np.empty((0, len(feature_names)))
-    )
-    return RawTable(feature_names, features, np.asarray(labels, dtype=np.int64))
+            for col_pos, cell in enumerate(row, start=1):
+                value = _cell_value(cell, row_pos, col_pos)
+                if col_pos == label_idx + 1 and value not in (0.0, 1.0):
+                    raise SchemaError(
+                        f"label must be 0 or 1, found {cell!r} "
+                        f"(row {row_pos}, column {col_pos})"
+                    )
 
 
 def dedup(table: RawTable) -> RawTable:
     """Drop rows identical across all features and the label, keeping the
-    first occurrence and the survivors' relative order."""
-    if table.n_rows == 0:
-        return RawTable(list(table.feature_names), table.features.copy(), table.labels.copy())
-    combined = np.column_stack([table.features, table.labels.astype(np.float64)])
-    _, first_idx = np.unique(combined, axis=0, return_index=True)
-    keep = np.sort(first_idx)
-    return RawTable(list(table.feature_names), table.features[keep], table.labels[keep])
+    first occurrence and the survivors' relative order.
+
+    Rows compare as floats, as in ``np.unique(..., axis=0)``: -0.0 equals
+    0.0 and a row holding NaN equals no other row.
+    """
+    features = np.ascontiguousarray(table.features)
+    n, d = features.shape
+    # equal rows sort next to each other, earliest file position first
+    if d:
+        rows = features.view([(f"f{j}", features.dtype) for j in range(d)]).ravel()
+        order = np.argsort(rows, kind="stable")
+    else:
+        order = np.arange(n)
+    order = order[np.argsort(table.labels[order], kind="stable")]
+    # candidate pairs of sort neighbours, narrowed one column at a time
+    later, earlier = order[1:], order[:-1]
+    same = table.labels[later] == table.labels[earlier]
+    later, earlier = later[same], earlier[same]
+    for j in range(d):
+        column = features[:, j]
+        same = column[later] == column[earlier]
+        later, earlier = later[same], earlier[same]
+    keep = np.ones(n, dtype=bool)
+    keep[later] = False
+    return RawTable(list(table.feature_names), features[keep], table.labels[keep])
 
 
 def stratified_split(

@@ -1,15 +1,22 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the library's own code paths: gradients come from
-central finite differences, AUC from explicit pair counting, and tree splits
-from exhaustive enumeration, so a shared bug cannot hide in both routes.
+central finite differences, AUC from explicit pair counting, tree splits
+from exhaustive enumeration, CSV cells from one ``float()`` call each and
+trees from an argsort at every node, so a shared bug cannot hide in both
+routes.
 """
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 
 import numpy as np
+
+from ganbalance import kernels
+from ganbalance.classifiers import TreeNode
+from ganbalance.errors import CsvParseError, SchemaError
 
 
 def finite_difference_gradients(loss_fn, arrays, h: float = 1e-5):
@@ -107,3 +114,84 @@ def brute_force_best_split(x, y, min_leaf: int = 1):
             if best is None or gain > best[0]:
                 best = (gain, j, thr)
     return best
+
+
+def per_cell_load_csv(path, label_column: str = "Class", parse_cell=float):
+    """Parse a headered numeric CSV with ``csv`` and one ``float()`` per cell.
+
+    Returns (feature_names, features, labels).  Raises CsvParseError with
+    1-based row/column for ragged rows and cells parse_cell rejects with
+    ValueError, and SchemaError for a missing label column or a label other
+    than 0/1.  With the default float(), underscores, nan and inf get through.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: file is empty, expected a header row") from None
+        header = [name.strip() for name in header]
+        if label_column not in header:
+            raise SchemaError(f"{path}: no {label_column!r} column among {header}")
+        label_idx = header.index(label_column)
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+
+        feature_rows = []
+        labels = []
+        for row_pos, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise CsvParseError(
+                    f"expected {len(header)} cells, found {len(row)}",
+                    row=row_pos,
+                    column=min(len(row) + 1, len(header)),
+                )
+            parsed = []
+            for col_pos, cell in enumerate(row):
+                try:
+                    value = parse_cell(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"non-numeric cell {cell!r}", row=row_pos, column=col_pos + 1
+                    ) from None
+                if col_pos == label_idx:
+                    if value not in (0.0, 1.0):
+                        raise SchemaError(
+                            f"label must be 0 or 1, found {cell!r} "
+                            f"(row {row_pos}, column {col_pos + 1})"
+                        )
+                    labels.append(int(value))
+                else:
+                    parsed.append(value)
+            feature_rows.append(parsed)
+
+    features = np.array(feature_rows, dtype=np.float64).reshape(len(feature_rows), len(feature_names))
+    return feature_names, features, np.asarray(labels, dtype=np.int64)
+
+
+def per_node_argsort_tree(x, y, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
+    """CART grown by stable-argsorting every column at every node and
+    copying each child's rows, with the library's split scan."""
+    n = len(y)
+    n_pos = int(np.sum(y))
+    prob = n_pos / n
+    if n_pos in (0, n) or depth >= max_depth or n < 2 * min_leaf:
+        return TreeNode(prob=prob, count=n)
+    best_score, best_feature, best_threshold = -1.0, -1, 0.0
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        score, threshold, found = kernels.split_scan(
+            np.ascontiguousarray(x[order, j]), np.ascontiguousarray(y[order]), min_leaf
+        )
+        if found and score > best_score:
+            best_score, best_feature, best_threshold = score, j, float(threshold)
+    if best_feature < 0:
+        return TreeNode(prob=prob, count=n)
+    go_left = x[:, best_feature] <= best_threshold
+    return TreeNode(
+        prob=prob,
+        count=n,
+        feature=best_feature,
+        threshold=best_threshold,
+        left=per_node_argsort_tree(x[go_left], y[go_left], depth + 1, max_depth, min_leaf),
+        right=per_node_argsort_tree(x[~go_left], y[~go_left], depth + 1, max_depth, min_leaf),
+    )

@@ -6,7 +6,7 @@ import pytest
 from ganbalance import classifiers as cl
 from ganbalance.data import Dataset
 from ganbalance.errors import DegenerateDataError, ShapeError
-from oracles import brute_force_best_split
+from oracles import brute_force_best_split, per_node_argsort_tree
 
 
 def _separable_1d(n=60, margin=1.0, seed=0):
@@ -116,6 +116,24 @@ def test_tree_root_split_matches_exhaustive_search():
             assert not model.root.is_leaf, f"trial {trial}: expected split"
             assert model.root.feature == feature, f"trial {trial}"
             assert model.root.threshold == threshold, f"trial {trial}"
+
+
+def test_tree_equals_per_node_argsort_tree_under_heavy_ties():
+    # one sort per column at the root must grow the same tree, thresholds
+    # and all, as a stable argsort of each node's rows
+    rng = np.random.default_rng(16)
+    for trial in range(30):
+        n = int(rng.integers(2, 300))
+        d = int(rng.integers(0, 6))
+        x = rng.integers(0, int(rng.integers(2, 6)), size=(n, d)) / 4.0
+        y = rng.integers(0, 2, size=n).astype(np.int64)
+        max_depth = int(rng.integers(1, 7))
+        min_leaf = int(rng.integers(2, 8))
+        model = cl.train_tree(
+            Dataset(x, y), cl.TrainConfig(max_depth=max_depth, min_leaf=min_leaf)
+        )
+        expected = per_node_argsort_tree(x, y, 0, max_depth, min_leaf)
+        assert model.root == expected, f"trial {trial}"
 
 
 def test_tree_respects_max_depth():

@@ -1,10 +1,17 @@
 """CSV ingestion, dedup, stratified split, and the two-stage scaling."""
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ganbalance import data
 from ganbalance.errors import CapacityError, CsvParseError, SchemaError
+from oracles import per_cell_load_csv
 
 
 def _write(tmp_path, text, name="t.csv"):
@@ -204,3 +211,225 @@ def test_full_pipeline_lands_in_unit_interval():
     # labels survive scaling untouched
     assert np.array_equal(train_s.labels, train.labels)
     assert np.array_equal(test_s.labels, test.labels)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_csv_non_finite_feature_cell_names_position(tmp_path, cell):
+    path = _write(tmp_path, f"a,b,Class\n1.0,2.0,0\n3.0,{cell},1\n")
+    with pytest.raises(CsvParseError) as err:
+        data.load_csv(path)
+    assert (err.value.row, err.value.column) == (3, 2)
+    assert "non-finite" in str(err.value)
+
+
+@pytest.mark.parametrize("cell", ["nan", "Infinity"])
+def test_load_csv_non_finite_label_cell_names_position(tmp_path, cell):
+    path = _write(tmp_path, f"a,Class,b\n1.0,0,2.0\n3.0,{cell},4.0\n")
+    with pytest.raises(CsvParseError) as err:
+        data.load_csv(path)
+    assert (err.value.row, err.value.column) == (3, 2)
+
+
+def test_load_csv_blank_line_is_a_ragged_row(tmp_path):
+    path = _write(tmp_path, "a,b,Class\n1.0,2.0,0\n\n3.0,4.0,1\n")
+    with pytest.raises(CsvParseError) as err:
+        data.load_csv(path)
+    assert (err.value.row, err.value.column) == (3, 1)
+
+
+def test_load_csv_rejects_underscores(tmp_path):
+    path = _write(tmp_path, "a,b,Class\n1_000,2.0,0\n")
+    with pytest.raises(CsvParseError) as err:
+        data.load_csv(path)
+    assert (err.value.row, err.value.column) == (2, 1)
+
+
+def test_load_csv_header_only_is_an_empty_table(tmp_path):
+    path = _write(tmp_path, "a,b,Class\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = data.load_csv(path)
+    assert table.features.shape == (0, 2)
+    assert table.labels.shape == (0,) and table.labels.dtype == np.int64
+
+
+# ---- property tests against the per-cell reference loader ----------------
+
+def _oracle_table(path, parse_cell=float):
+    names, features, labels = per_cell_load_csv(path, parse_cell=parse_cell)
+    return data.RawTable(names, features, labels)
+
+
+def _strict_float(cell: str) -> float:
+    """float() narrowed to the loader's deliberate differences from it:
+    underscores and non-finite values are rejected."""
+    value = float(cell)
+    if "_" in cell or not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+def _same_table(got, want) -> bool:
+    return (
+        got.feature_names == want.feature_names
+        and got.features.shape == want.features.shape
+        and got.features.tobytes() == want.features.tobytes()
+        and got.labels.dtype == want.labels.dtype
+        and np.array_equal(got.labels, want.labels)
+    )
+
+
+# bounded so that rounding in the printed form cannot overflow to inf
+_finite = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 1e-300, 123456.0]),
+)
+
+
+@st.composite
+def _feature_cell(draw):
+    value = draw(_finite)
+    text = draw(st.sampled_from(["{!r}", "{:e}", "{:+.4E}", "{:.6f}"])).format(value)
+    return draw(st.sampled_from(["{}", '"{}"', " {} "])).format(text)
+
+
+@st.composite
+def _csv_lines(draw, min_rows=0):
+    """(lines, label column index) of a valid table: a header, then rows."""
+    n_features = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(min_rows, 8))
+    label_idx = draw(st.integers(0, n_features))
+    header = [f"c{j}" for j in range(n_features)]
+    header.insert(label_idx, "Class")
+    rows = []
+    for _ in range(n_rows):
+        cells = [draw(_feature_cell()) for _ in range(n_features)]
+        cells.insert(label_idx, draw(st.sampled_from(["0", "1", "1.0", "0e0", "-0", '"1"'])))
+        rows.append(cells)
+    return [",".join(cells) for cells in [header] + rows], label_idx
+
+
+_newline = st.sampled_from(["\n", "\r\n"])
+
+
+def _write_bytes(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_csv_lines(), newline=_newline, trailing_newline=st.booleans())
+def test_load_csv_matches_per_cell_reference(tmp_path, table, newline, trailing_newline):
+    lines, _ = table
+    path = _write_bytes(tmp_path, newline.join(lines) + (newline if trailing_newline else ""))
+    assert _same_table(data.load_csv(path), _oracle_table(path))
+
+
+@st.composite
+def _corrupted_lines(draw):
+    """The lines of a valid table with one or two corruptions."""
+    lines, label_idx = draw(_csv_lines(min_rows=1))
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(
+            ["blank", "ragged", "non_numeric", "non_binary_label", "non_finite"]))
+        r = draw(st.integers(1, len(lines) - 1))
+        if kind == "blank":
+            lines.insert(r, "")
+            continue
+        cells = lines[r].split(",")
+        if kind == "ragged":
+            if draw(st.booleans()) and len(cells) > 1:
+                cells.pop(draw(st.integers(0, len(cells) - 1)))
+            else:
+                cells.append("0")
+        else:
+            c = draw(st.integers(0, len(cells) - 1))
+            if kind == "non_binary_label":
+                c = min(label_idx, len(cells) - 1)
+            cells[c] = draw(st.sampled_from({
+                "non_numeric": ["abc", "", "1_0", "1..2", "0x10", "--1"],
+                "non_binary_label": ["2", "0.5", "-1", "1e1"],
+                "non_finite": ["nan", "inf", "-Infinity", "1e999", "NaN"],
+            }[kind]))
+        lines[r] = ",".join(cells)
+    return lines
+
+
+def _error_of(load, path):
+    try:
+        load(path)
+    except (CsvParseError, SchemaError) as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_corrupted_lines(), newline=_newline)
+def test_load_csv_reports_the_reference_error(tmp_path, lines, newline):
+    path = _write_bytes(tmp_path, newline.join(lines) + newline)
+    got = _error_of(data.load_csv, path)
+    # the reference reads cells with float() narrowed to the loader's two
+    # deliberate refusals (underscores, non-finite values); both report such
+    # a cell as a CsvParseError at its position, under different wording
+    want = _error_of(lambda p: _oracle_table(p, parse_cell=_strict_float), path)
+    if want is None:
+        # the corruptions cancelled out (a ragged row repaired, say)
+        assert _same_table(data.load_csv(path), _oracle_table(path))
+        return
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, CsvParseError):
+        assert (got.row, got.column) == (want.row, want.column)
+    else:
+        assert str(got) == str(want)
+
+
+# ---- dedup against np.unique ---------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, np.nan, -3.0]), min_size=3, max_size=3),
+        min_size=1, max_size=6,
+    ),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), max_size=40),
+    n_features=st.integers(0, 3),
+)
+def test_dedup_matches_np_unique(pool, picks, n_features):
+    features = np.array([pool[i % len(pool)][:n_features] for i, _ in picks],
+                        dtype=np.float64).reshape(len(picks), n_features)
+    labels = np.array([label for _, label in picks], dtype=np.int64)
+    table = data.RawTable([f"c{j}" for j in range(n_features)], features, labels)
+    out = data.dedup(table)
+    _, first = np.unique(np.column_stack([features, labels.astype(np.float64)]),
+                         axis=0, return_index=True)
+    keep = np.sort(first)
+    assert out.features.tobytes() == features[keep].tobytes()
+    assert np.array_equal(out.labels, labels[keep])
+    assert data.dedup(out).n_rows == out.n_rows
+
+
+def test_load_and_dedup_peak_memory_is_bounded(tmp_path):
+    # 40k x 30 like a slice of the credit-card table, with planted copies;
+    # peak traced memory stays within 3x the final feature matrix
+    rng = np.random.default_rng(21)
+    base = rng.normal(size=(39_000, 30))
+    base_labels = (rng.random(len(base)) < 0.01).astype(np.int64)
+    copies = rng.integers(0, len(base), size=1_000)
+    rows = np.vstack([base, base[copies]])
+    labels = np.concatenate([base_labels, base_labels[copies]])
+    path = tmp_path / "wide.csv"
+    with open(path, "w") as fh:
+        fh.write(",".join(f"V{j}" for j in range(30)) + ",Class\n")
+        np.savetxt(fh, np.column_stack([rows, labels]), fmt="%+.6f", delimiter=",")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = data.dedup(data.load_csv(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.n_rows == len(base)
+    assert peak <= 3 * table.features.nbytes, peak / table.features.nbytes
