@@ -5,8 +5,6 @@ rows into the training set until the classes are balanced, and compares
 downstream classifiers against random oversampling and raw training.
 """
 
-from ganbalance.kernels import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

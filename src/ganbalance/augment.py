@@ -77,8 +77,16 @@ def random_oversample(train: Dataset, rng: np.random.Generator) -> AugmentedData
     )
 
 
-def gan_augment(train: Dataset, generator, rng: np.random.Generator) -> AugmentedDataset:
-    """Append generated minority rows until positives match negatives."""
+def gan_augment(
+    train: Dataset,
+    generator,
+    rng: np.random.Generator,
+    noise_distribution: str = "normal",
+) -> AugmentedDataset:
+    """Append generated minority rows until positives match negatives.
+
+    ``noise_distribution`` must be the one the generator was trained on.
+    """
     n_pos = train.positive_count
     n_neg = train.negative_count
     if n_pos >= n_neg:
@@ -86,7 +94,7 @@ def gan_augment(train: Dataset, generator, rng: np.random.Generator) -> Augmente
             f"positives ({n_pos}) already >= negatives ({n_neg})"
         )
     deficit = n_neg - n_pos
-    synthetic = gan.generate(generator, deficit, rng)
+    synthetic = gan.generate(generator, deficit, rng, noise_distribution)
     if synthetic.shape[1] != train.features.shape[1]:
         raise PreconditionError(
             f"generator emits {synthetic.shape[1]} features, train set has "

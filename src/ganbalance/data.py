@@ -118,22 +118,29 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
 
 
 class _CountedLines:
-    """Iterates a text handle's lines and counts them."""
+    """Iterates a text handle's lines, counts them, and notes whether any
+    holds a character the C reader strips but ``_cell_value`` rejects:
+    non-ASCII text or an ASCII separator control, \\x1c to \\x1f."""
 
     def __init__(self, fh):
         self.fh = fh
         self.count = 0
+        self.suspect = False
 
     def __iter__(self):
         for line in self.fh:
             self.count += 1
+            if not line.isascii() or "\x1c" in line or "\x1d" in line \
+                    or "\x1e" in line or "\x1f" in line:
+                self.suspect = True
             yield line
 
 
 def _read_body(fh, n_columns: int):
     """The remaining lines of fh parsed as an (n, n_columns) float64 array
-    by numpy's C reader, or None when it fails or its shape disagrees with
-    the file: it skips blank lines silently, so every line must give a row."""
+    by numpy's C reader, or None when it fails, its shape disagrees with
+    the file (it skips blank lines silently, so every line must give a row)
+    or a line holds a character it would strip."""
     lines = _CountedLines(fh)
     try:
         with warnings.catch_warnings():
@@ -144,7 +151,7 @@ def _read_body(fh, n_columns: int):
         return None
     if lines.count == 0:
         return np.empty((0, n_columns))
-    if values.shape != (lines.count, n_columns):
+    if lines.suspect or values.shape != (lines.count, n_columns):
         return None
     return values
 

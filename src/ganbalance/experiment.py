@@ -160,7 +160,9 @@ def run(config: ExperimentConfig) -> list:
                 )
                 generator, gan_log = gan.train_gan(positives, gan_cfg)
                 rng = np.random.default_rng(derive_seed(config.seed, "gan-generate"))
-                augmented = augment.gan_augment(train_scaled, generator, rng)
+                augmented = augment.gan_augment(
+                    train_scaled, generator, rng, config.gan.noise_distribution
+                )
                 train_set = augmented.as_dataset()
         except GanBalanceError as exc:
             tag = f"{type(exc).__name__}: {exc}"

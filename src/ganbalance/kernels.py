@@ -1,115 +1,51 @@
-"""Numeric inner-loop kernels with a numba backend and a pure-numpy fallback.
+"""Numeric inner-loop kernels of the dense-network engine and the tree.
 
-The backend is chosen once at import time from the ``GANBALANCE_NUMBA``
-environment variable ("0"/"false"/"off" forces the numpy path; anything else,
-or an absent variable, uses numba when it is importable).  All kernels take
-and return float64 arrays; callers own dtype discipline.
-
-For kernels whose numba implementation is an explicit loop, the vectorized
-numpy fallback is kept importable under a ``_np`` suffix so tests and the
-backend benchmark can compare both paths directly.
+Each kernel is one numpy function.  All kernels take and return float64
+arrays; callers own dtype discipline.
 """
-
-import os
 
 import numpy as np
 
 
-def _numba_requested() -> bool:
-    raw = os.environ.get("GANBALANCE_NUMBA", "1").strip().lower()
-    return raw not in {"0", "false", "off", "no"}
+# --- dense / activation primitives ------------------------------------------
 
 
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA
-BACKEND = "numba" if USING_NUMBA else "numpy"
-
-
-def _jit(py_func):
-    if USING_NUMBA:
-        return _njit(cache=True)(py_func)
-    return py_func
-
-
-# --- dense / activation primitives (one body serves both backends) ---------
-
-
-def _dense_forward(X, W, b):
+def dense_forward(X, W, b):
     return np.dot(X, W) + b
 
 
-def _dense_backward(X, delta, W):
+def dense_backward(X, delta, W):
     dW = np.dot(np.ascontiguousarray(X.T), delta)
     db = np.sum(delta, axis=0)
     dX = np.dot(delta, np.ascontiguousarray(W.T))
     return dW, db, dX
 
 
-def _relu_forward(X):
+def relu_forward(X):
     return np.maximum(X, 0.0)
 
 
-def _relu_backward(X, delta):
+def relu_backward(X, delta):
     return np.where(X > 0.0, delta, 0.0)
 
 
-def _sigmoid_forward(X):
+def sigmoid_forward(X):
     return 1.0 / (1.0 + np.exp(-X))
 
 
-def _sigmoid_backward(Y, delta):
+def sigmoid_backward(Y, delta):
     return delta * Y * (1.0 - Y)
 
 
-dense_forward = _jit(_dense_forward)
-dense_backward = _jit(_dense_backward)
-relu_forward = _jit(_relu_forward)
-relu_backward = _jit(_relu_backward)
-sigmoid_forward = _jit(_sigmoid_forward)
-sigmoid_backward = _jit(_sigmoid_backward)
-
-
-# --- softmax ----------------------------------------------------------------
-
-
-def _softmax_loop(X):
-    out = np.empty_like(X)
-    for i in range(X.shape[0]):
-        mx = X[i, 0]
-        for j in range(1, X.shape[1]):
-            if X[i, j] > mx:
-                mx = X[i, j]
-        s = 0.0
-        for j in range(X.shape[1]):
-            e = np.exp(X[i, j] - mx)
-            out[i, j] = e
-            s += e
-        for j in range(X.shape[1]):
-            out[i, j] /= s
-    return out
-
-
-def softmax_forward_np(X):
+def softmax_forward(X):
     e = np.exp(X - X.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
-
-
-softmax_forward = _jit(_softmax_loop) if USING_NUMBA else softmax_forward_np
 
 
 # --- batch normalization ----------------------------------------------------
 
 
-def _batchnorm_train_forward(X, gamma, beta, eps):
+def batchnorm_train_forward(X, gamma, beta, eps):
     n = X.shape[0]
     mean = np.sum(X, axis=0) / n
     centered = X - mean
@@ -118,11 +54,11 @@ def _batchnorm_train_forward(X, gamma, beta, eps):
     return gamma * xhat + beta, xhat, mean, var
 
 
-def _batchnorm_infer_forward(X, gamma, beta, running_mean, running_var, eps):
+def batchnorm_infer_forward(X, gamma, beta, running_mean, running_var, eps):
     return gamma * (X - running_mean) / np.sqrt(running_var + eps) + beta
 
 
-def _batchnorm_backward(delta, xhat, gamma, var, eps):
+def batchnorm_backward(delta, xhat, gamma, var, eps):
     n = delta.shape[0]
     dgamma = np.sum(delta * xhat, axis=0)
     dbeta = np.sum(delta, axis=0)
@@ -133,32 +69,17 @@ def _batchnorm_backward(delta, xhat, gamma, var, eps):
     return dx, dgamma, dbeta
 
 
-batchnorm_train_forward = _jit(_batchnorm_train_forward)
-batchnorm_infer_forward = _jit(_batchnorm_infer_forward)
-batchnorm_backward = _jit(_batchnorm_backward)
-
-
 # --- Adam parameter update --------------------------------------------------
 
 
-def _adam_loop(param, grad, m, v, c1, c2, lr, beta1, beta2, eps):
-    # c1/c2 are the step's bias corrections (1 - beta**t), precomputed by the
-    # caller so both backends consume identical scalars
-    for i in range(param.shape[0]):
-        m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i]
-        v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i]
-        param[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
-
-
-def adam_update_np(param, grad, m, v, c1, c2, lr, beta1, beta2, eps):
+def adam_update(param, grad, m, v, c1, c2, lr, beta1, beta2, eps):
+    """In-place update of flat param/m/v; c1/c2 are the step's bias
+    corrections (1 - beta**t)."""
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2
     v += (1.0 - beta2) * grad * grad
     param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
-adam_update = _jit(_adam_loop) if USING_NUMBA else adam_update_np
 
 
 # --- decision-tree split scan -----------------------------------------------
@@ -174,39 +95,7 @@ adam_update = _jit(_adam_loop) if USING_NUMBA else adam_update_np
 # (and exact in float64) up to roughly 1.6M rows, far beyond any input here.
 
 
-def _split_scan_loop(values, labels, min_leaf):
-    n = values.shape[0]
-    if n < 2:
-        return -1.0, 0.0, False
-    total_pos = 0
-    for i in range(n):
-        total_pos += labels[i]
-    best_score = -1.0
-    best_thr = 0.0
-    found = False
-    pos = 0
-    for i in range(n - 1):
-        pos += labels[i]
-        if values[i] == values[i + 1]:
-            continue
-        nl = i + 1
-        nr = n - nl
-        if nl < min_leaf or nr < min_leaf:
-            continue
-        pl = pos
-        ql = nl - pl
-        pr = total_pos - pos
-        qr = nr - pr
-        num = (pl * pl + ql * ql) * nr + (pr * pr + qr * qr) * nl
-        score = num / (nl * nr)
-        if score > best_score:
-            best_score = score
-            best_thr = (values[i] + values[i + 1]) / 2.0
-            found = True
-    return best_score, best_thr, found
-
-
-def split_scan_np(values, labels, min_leaf):
+def split_scan(values, labels, min_leaf):
     n = values.shape[0]
     if n < 2:
         return -1.0, 0.0, False
@@ -231,6 +120,3 @@ def split_scan_np(values, labels, min_leaf):
     k = int(np.argmax(score))
     i = int(boundaries[k])
     return float(score[k]), float((values[i] + values[i + 1]) / 2.0), True
-
-
-split_scan = _jit(_split_scan_loop) if USING_NUMBA else split_scan_np

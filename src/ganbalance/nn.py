@@ -160,12 +160,11 @@ def activation(kind: str, x) -> np.ndarray:
     """Apply relu/sigmoid elementwise or softmax row-wise (max-shifted)."""
     arr = np.asarray(x, dtype=np.float64)
     if kind == "relu":
-        return np.maximum(arr, 0.0)
+        return kernels.relu_forward(arr)
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-arr))
+        return kernels.sigmoid_forward(arr)
     if kind == "softmax":
-        rows = np.atleast_2d(arr)
-        out = kernels.softmax_forward_np(rows)
+        out = kernels.softmax_forward(np.atleast_2d(arr))
         return out[0] if arr.ndim == 1 else out
     raise ValueError(f"unknown activation kind {kind!r}")
 
@@ -431,8 +430,6 @@ def adam_step(state, grads, opt: AdamState):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     opt.step_count += 1
-    # bias corrections computed once here so both kernel backends see the
-    # exact same scalars (compiled pow and CPython pow can differ by 1 ulp)
     c1 = 1.0 - opt.beta1**opt.step_count
     c2 = 1.0 - opt.beta2**opt.step_count
     for p, g, m, v in zip(params, gradients, opt.first_moment, opt.second_moment):

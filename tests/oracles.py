@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own code paths: gradients come from
 central finite differences, AUC from explicit pair counting, tree splits
-from exhaustive enumeration, CSV cells from one ``float()`` call each and
-trees from an argsort at every node, so a shared bug cannot hide in both
-routes.
+from exhaustive enumeration, the split scan from a plain loop, CSV cells
+from one ``float()`` call each and trees from an argsort at every node, so a
+shared bug cannot hide in both routes.
 """
 
 from __future__ import annotations
@@ -114,6 +114,44 @@ def brute_force_best_split(x, y, min_leaf: int = 1):
             if best is None or gain > best[0]:
                 best = (gain, j, thr)
     return best
+
+
+def split_scan_loop(values, labels, min_leaf):
+    """The split scan as one pass over the sorted column, in plain Python.
+
+    Scores each boundary between distinct values with the same single
+    division as the kernel; a strictly larger score replaces the best, so
+    the lowest threshold wins a tie.  Returns (score, threshold, found).
+    """
+    n = values.shape[0]
+    if n < 2:
+        return -1.0, 0.0, False
+    total_pos = 0
+    for i in range(n):
+        total_pos += int(labels[i])
+    best_score = -1.0
+    best_thr = 0.0
+    found = False
+    pos = 0
+    for i in range(n - 1):
+        pos += int(labels[i])
+        if values[i] == values[i + 1]:
+            continue
+        nl = i + 1
+        nr = n - nl
+        if nl < min_leaf or nr < min_leaf:
+            continue
+        pl = pos
+        ql = nl - pl
+        pr = total_pos - pos
+        qr = nr - pr
+        num = (pl * pl + ql * ql) * nr + (pr * pr + qr * qr) * nl
+        score = num / (nl * nr)
+        if score > best_score:
+            best_score = score
+            best_thr = float((values[i] + values[i + 1]) / 2.0)
+            found = True
+    return best_score, best_thr, found
 
 
 def per_cell_load_csv(path, label_column: str = "Class", parse_cell=float):

@@ -244,6 +244,18 @@ def test_load_csv_rejects_underscores(tmp_path):
     assert (err.value.row, err.value.column) == (2, 1)
 
 
+# characters numpy's C reader strips around a number but the cell rule rejects
+_STRIPPED_CELLS = ["\x1c1", "\xa01", "\u20031", "1\x85", "0\x1f"]
+
+
+@pytest.mark.parametrize("cell", _STRIPPED_CELLS)
+def test_load_csv_rejects_characters_the_c_reader_strips(tmp_path, cell):
+    path = _write_bytes(tmp_path, f"a,b,Class\n1.0,2.0,0\n3.0,{cell},1\n")
+    with pytest.raises(CsvParseError) as err:
+        data.load_csv(path)
+    assert (err.value.row, err.value.column) == (3, 2)
+
+
 def test_load_csv_header_only_is_an_empty_table(tmp_path):
     path = _write(tmp_path, "a,b,Class\n")
     with warnings.catch_warnings():
@@ -262,9 +274,9 @@ def _oracle_table(path, parse_cell=float):
 
 def _strict_float(cell: str) -> float:
     """float() narrowed to the loader's deliberate differences from it:
-    underscores and non-finite values are rejected."""
+    underscores, non-ASCII text and non-finite values are rejected."""
     value = float(cell)
-    if "_" in cell or not math.isfinite(value):
+    if "_" in cell or not cell.isascii() or not math.isfinite(value):
         raise ValueError(cell)
     return value
 
@@ -333,7 +345,8 @@ def _corrupted_lines(draw):
     lines, label_idx = draw(_csv_lines(min_rows=1))
     for _ in range(draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(
-            ["blank", "ragged", "non_numeric", "non_binary_label", "non_finite"]))
+            ["blank", "ragged", "non_numeric", "non_binary_label", "non_finite",
+             "stripped"]))
         r = draw(st.integers(1, len(lines) - 1))
         if kind == "blank":
             lines.insert(r, "")
@@ -352,6 +365,7 @@ def _corrupted_lines(draw):
                 "non_numeric": ["abc", "", "1_0", "1..2", "0x10", "--1"],
                 "non_binary_label": ["2", "0.5", "-1", "1e1"],
                 "non_finite": ["nan", "inf", "-Infinity", "1e999", "NaN"],
+                "stripped": _STRIPPED_CELLS,
             }[kind]))
         lines[r] = ",".join(cells)
     return lines
@@ -371,9 +385,10 @@ def _error_of(load, path):
 def test_load_csv_reports_the_reference_error(tmp_path, lines, newline):
     path = _write_bytes(tmp_path, newline.join(lines) + newline)
     got = _error_of(data.load_csv, path)
-    # the reference reads cells with float() narrowed to the loader's two
-    # deliberate refusals (underscores, non-finite values); both report such
-    # a cell as a CsvParseError at its position, under different wording
+    # the reference reads cells with float() narrowed to the loader's three
+    # deliberate refusals (underscores, non-ASCII text, non-finite values);
+    # both report such a cell as a CsvParseError at its position, under
+    # different wording
     want = _error_of(lambda p: _oracle_table(p, parse_cell=_strict_float), path)
     if want is None:
         # the corruptions cancelled out (a ragged row repaired, say)

@@ -272,3 +272,25 @@ def test_run_synth_writes_samples_and_log(corpus, tmp_path):
     assert (tmp_path / "gan_training_log.csv").exists()
     with pytest.raises(PreconditionError):
         run_synth(config, 0)
+
+
+def test_gan_mode_samples_with_the_configured_noise(corpus, tmp_path):
+    # same config => the gan mode's generated rows are run_synth's rows
+    config = ExperimentConfig(
+        data_path=str(corpus),
+        out_dir=str(tmp_path / "run"),
+        seed=13,
+        modes=("gan",),
+        models=("dt",),
+        split=SPLIT,
+        gan=dataclasses.replace(GAN_FAST, noise_distribution="uniform"),
+        dump_augmented=True,
+    )
+    run(config)
+    dumped = (tmp_path / "run" / "train_augmented.csv").read_text().splitlines()[1:]
+    generated = [line.rsplit(",", 2)[0] for line in dumped if line.endswith(",generated")]
+    deficit = SPLIT.train_size - 2 * SPLIT.train_positives
+    assert len(generated) == deficit
+    run_synth(dataclasses.replace(config, out_dir=str(tmp_path / "synth")), deficit)
+    synth = (tmp_path / "synth" / "generated_samples.csv").read_text().splitlines()[1:]
+    assert generated == synth

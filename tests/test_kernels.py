@@ -1,104 +1,13 @@
-"""Backend layer: numba kernels against their pure-Python/numpy twins."""
-
-import os
-import subprocess
-import sys
+"""The tree's split-scan kernel against the plain-loop reference."""
 
 import numpy as np
-import pytest
 
 from ganbalance import kernels as K
-from helpers import gaussian_blobs, write_dataset_csv
+from oracles import split_scan_loop
 
 rng = np.random.default_rng(101)
 
 
-def test_backend_selection_reports():
-    assert K.BACKEND in ("numba", "numpy")
-    assert K.USING_NUMBA == (K.BACKEND == "numba")
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, GANBALANCE_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from ganbalance import kernels; print(kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-needs_numba = pytest.mark.skipif(not K.USING_NUMBA, reason="numpy backend forced")
-
-
-@needs_numba
-def test_compiled_kernels_match_python_bodies():
-    X = rng.normal(size=(7, 5))
-    W = rng.normal(size=(5, 4))
-    b = rng.normal(size=4)
-    delta = rng.normal(size=(7, 4))
-    gamma = rng.uniform(0.5, 1.5, size=5)
-    beta = rng.normal(size=5)
-
-    assert np.array_equal(K.dense_forward(X, W, b), K.dense_forward.py_func(X, W, b))
-    for a, c in zip(K.dense_backward(X, delta, W), K.dense_backward.py_func(X, delta, W)):
-        assert np.array_equal(a, c)
-    assert np.array_equal(K.relu_forward(X), K.relu_forward.py_func(X))
-    d5 = rng.normal(size=(7, 5))
-    assert np.array_equal(K.relu_backward(X, d5), K.relu_backward.py_func(X, d5))
-    S = K.sigmoid_forward(X)
-    assert np.array_equal(S, K.sigmoid_forward.py_func(X))
-    assert np.array_equal(K.sigmoid_backward(S, d5), K.sigmoid_backward.py_func(S, d5))
-
-    train_out = K.batchnorm_train_forward(X, gamma, beta, 1e-5)
-    train_ref = K.batchnorm_train_forward.py_func(X, gamma, beta, 1e-5)
-    for a, c in zip(train_out, train_ref):
-        assert np.array_equal(a, c)
-    _, xhat, mean, var = train_out
-    assert np.array_equal(
-        K.batchnorm_infer_forward(X, gamma, beta, mean, var, 1e-5),
-        K.batchnorm_infer_forward.py_func(X, gamma, beta, mean, var, 1e-5),
-    )
-    for a, c in zip(
-        K.batchnorm_backward(d5, xhat, gamma, var, 1e-5),
-        K.batchnorm_backward.py_func(d5, xhat, gamma, var, 1e-5),
-    ):
-        assert np.array_equal(a, c)
-
-
-@needs_numba
-def test_softmax_backends_agree():
-    for _ in range(20):
-        X = rng.uniform(-1e3, 1e3, size=(rng.integers(1, 10), rng.integers(2, 8)))
-        a = K.softmax_forward(np.ascontiguousarray(X))
-        b = K.softmax_forward_np(X)
-        assert np.allclose(a, b, atol=1e-15)
-        assert np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-12)
-
-
-@needs_numba
-def test_adam_backends_bit_identical():
-    for trial in range(10):
-        n = int(rng.integers(1, 200))
-        p1 = rng.normal(size=n)
-        p2 = p1.copy()
-        m1 = np.zeros(n)
-        v1 = np.zeros(n)
-        m2 = np.zeros(n)
-        v2 = np.zeros(n)
-        for step in range(1, 6):
-            g = rng.normal(size=n)
-            c1 = 1.0 - 0.9**step
-            c2 = 1.0 - 0.999**step
-            K.adam_update(p1, g, m1, v1, c1, c2, 1e-3, 0.9, 0.999, 1e-8)
-            K.adam_update_np(p2, g, m2, v2, c1, c2, 1e-3, 0.9, 0.999, 1e-8)
-        assert np.array_equal(p1, p2), f"trial {trial}"
-        assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
-
-
-@needs_numba
 def test_split_scan_backends_bit_identical():
     for trial in range(200):
         n = int(rng.integers(2, 40))
@@ -106,10 +15,8 @@ def test_split_scan_backends_bit_identical():
         labs = rng.integers(0, 2, size=n).astype(np.int64)
         min_leaf = int(rng.integers(1, 4))
         a = K.split_scan(vals, labs, min_leaf)
-        b = K.split_scan_np(vals, labs, min_leaf)
-        assert a[2] == b[2], f"trial {trial}"
-        if a[2]:
-            assert a[0] == b[0] and a[1] == b[1], f"trial {trial}"
+        b = split_scan_loop(vals, labs, min_leaf)
+        assert a == b, f"trial {trial}"
 
 
 def test_split_scan_handles_degenerate_inputs():
@@ -131,30 +38,3 @@ def test_split_scan_prefers_lowest_threshold_on_ties():
     score, thr, found = K.split_scan(vals, labs, 1)
     assert found
     assert thr == 0.5
-
-
-@needs_numba
-def test_backends_produce_identical_pipeline_outputs(tmp_path):
-    dataset = gaussian_blobs(np.random.default_rng(23), n_pos=40, n_neg=260, dim=4)
-    data_path = tmp_path / "data.csv"
-    write_dataset_csv(dataset, data_path)
-    argv = [
-        sys.executable, "-m", "ganbalance.cli", "run",
-        "--data", str(data_path), "--seed", "3",
-        "--models", "dt,logreg,mlp", "--gan-epochs", "25", "--mlp-epochs", "40",
-        "--train-size", "150", "--test-size", "100",
-        "--train-pos", "20", "--test-pos", "10",
-    ]
-    for flag, out in (("1", "nb"), ("0", "np")):
-        env = dict(os.environ, GANBALANCE_NUMBA=flag)
-        proc = subprocess.run(
-            argv + ["--out", str(tmp_path / out)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-    for name in ("metrics.csv", "gan_training_log.csv", "roc_gan_mlp.csv"):
-        a = (tmp_path / "nb" / name).read_bytes()
-        b = (tmp_path / "np" / name).read_bytes()
-        assert a == b, f"{name} differs between backends"
