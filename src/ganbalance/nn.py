@@ -8,7 +8,7 @@ in float64; training is deterministic given the caller's seeded generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,59 +94,66 @@ class BatchNormParams:
     epsilon: float = BATCHNORM_EPS
 
 
+def _parameter_arrays(entries) -> list[np.ndarray]:
+    out = []
+    for entry in entries:
+        if isinstance(entry, (DenseParams, DenseGrads)):
+            out.extend((entry.weights, entry.bias))
+        elif isinstance(entry, (BatchNormParams, BatchNormGrads)):
+            out.extend((entry.gamma, entry.beta))
+    return out
+
+
 @dataclass
 class NetworkState:
-    """Learned parameters, one entry per spec layer (None for stateless)."""
+    """Learned parameters, one entry per spec layer (None for stateless).
+
+    Every Adam-trained array (dense weights/bias, batchnorm gamma/beta) is a
+    view into ``flat``, one float64 vector in ``parameter_arrays()`` order.
+    """
 
     layers: list
+    flat: np.ndarray
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        out = []
-        for entry in self.layers:
-            if isinstance(entry, DenseParams):
-                out.extend((entry.weights, entry.bias))
-            elif isinstance(entry, BatchNormParams):
-                out.extend((entry.gamma, entry.beta))
-        return out
+        return _parameter_arrays(self.layers)
 
-    def copy(self) -> NetworkState:
-        copied = []
-        for entry in self.layers:
-            if isinstance(entry, DenseParams):
-                copied.append(DenseParams(entry.weights.copy(), entry.bias.copy()))
-            elif isinstance(entry, BatchNormParams):
-                copied.append(
-                    BatchNormParams(
-                        entry.gamma.copy(),
-                        entry.beta.copy(),
-                        entry.running_mean.copy(),
-                        entry.running_var.copy(),
-                        entry.momentum,
-                        entry.epsilon,
-                    )
-                )
-            else:
-                copied.append(None)
-        return NetworkState(copied)
+
+def _trained_size(layer: LayerSpec) -> int:
+    sizes = {"dense": (layer.input_dim + 1) * layer.output_dim, "batchnorm": 2 * layer.input_dim}
+    return sizes.get(layer.kind, 0)
+
+
+def _store(flat, end, first, second) -> tuple[np.ndarray, np.ndarray]:
+    """Copy ``first`` then ``second`` into the slice of ``flat`` ending at
+    ``end``; return the views now holding them.  Parameters and gradients
+    both get their layout here."""
+    mid = end - second.size
+    first_view = flat[mid - first.size : mid].reshape(first.shape)
+    first_view[...] = first
+    flat[mid:end] = second
+    return first_view, flat[mid:end]
 
 
 def init_state(spec: list[LayerSpec], rng: np.random.Generator) -> NetworkState:
     """Glorot-uniform dense weights, zero biases, identity batchnorm."""
     validate_spec(spec)
-    layers = []
+    flat = np.empty(sum(_trained_size(layer) for layer in spec))
+    layers, end = [], 0
     for layer in spec:
+        end += _trained_size(layer)
         if layer.kind == "dense":
             limit = np.sqrt(6.0 / (layer.input_dim + layer.output_dim))
             weights = rng.uniform(-limit, limit, size=(layer.input_dim, layer.output_dim))
-            layers.append(DenseParams(weights, np.zeros(layer.output_dim)))
+            bias = np.zeros(layer.output_dim)
+            layers.append(DenseParams(*_store(flat, end, weights, bias)))
         elif layer.kind == "batchnorm":
             d = layer.input_dim
-            layers.append(
-                BatchNormParams(np.ones(d), np.zeros(d), np.zeros(d), np.ones(d))
-            )
+            gamma, beta = _store(flat, end, np.ones(d), np.zeros(d))
+            layers.append(BatchNormParams(gamma, beta, np.zeros(d), np.ones(d)))
         else:
             layers.append(None)
-    return NetworkState(layers)
+    return NetworkState(layers, flat)
 
 
 @dataclass
@@ -281,19 +288,17 @@ class BatchNormGrads:
 
 @dataclass
 class Gradients:
-    """Per-parameter gradients mirroring NetworkState, plus d(loss)/d(input)."""
+    """Per-parameter gradients mirroring NetworkState, plus d(loss)/d(input).
+
+    The gradient arrays are views into ``flat``, laid out as the state's.
+    """
 
     layers: list
+    flat: np.ndarray
     wrt_input: np.ndarray | None = None
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        out = []
-        for entry in self.layers:
-            if isinstance(entry, DenseGrads):
-                out.extend((entry.weights, entry.bias))
-            elif isinstance(entry, BatchNormGrads):
-                out.extend((entry.gamma, entry.beta))
-        return out
+        return _parameter_arrays(self.layers)
 
 
 def _softmax_backward(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -314,6 +319,8 @@ def _check_cache(spec, cache: ForwardCache) -> None:
 
 
 def _walk_backward(spec, state, cache, delta, start) -> Gradients:
+    flat = np.empty_like(state.flat)
+    end = flat.size  # layers run last to first, so each one's slice ends here
     grads = [None] * len(spec)
     for i in range(start, -1, -1):
         layer = spec[i]
@@ -322,7 +329,8 @@ def _walk_backward(spec, state, cache, delta, start) -> Gradients:
             d_w, d_b, delta = kernels.dense_backward(
                 entry[1], np.ascontiguousarray(delta), state.layers[i].weights
             )
-            grads[i] = DenseGrads(d_w, d_b)
+            grads[i] = DenseGrads(*_store(flat, end, d_w, d_b))
+            end -= d_w.size + d_b.size
         elif layer.kind == "relu":
             delta = kernels.relu_backward(entry[1], delta)
         elif layer.kind == "sigmoid":
@@ -334,10 +342,11 @@ def _walk_backward(spec, state, cache, delta, start) -> Gradients:
             delta, d_gamma, d_beta = kernels.batchnorm_backward(
                 np.ascontiguousarray(delta), entry[1], params.gamma, entry[2], params.epsilon
             )
-            grads[i] = BatchNormGrads(d_gamma, d_beta)
+            grads[i] = BatchNormGrads(*_store(flat, end, d_gamma, d_beta))
+            end -= d_gamma.size + d_beta.size
         elif layer.kind == "dropout":
             delta = delta * entry[1]
-    return Gradients(layers=grads, wrt_input=delta)
+    return Gradients(layers=grads, flat=flat, wrt_input=delta)
 
 
 def backward(spec, state, cache: ForwardCache, loss_kind: str, targets) -> Gradients:
@@ -379,22 +388,24 @@ def backward_from(spec, state, cache: ForwardCache, grad_output) -> Gradients:
 
 @dataclass
 class AdamState:
-    """Adam moments for a fixed list of parameter arrays."""
+    """Adam moments for one flat parameter vector."""
 
-    first_moment: list
-    second_moment: list
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     learning_rate: float = 1e-3
-    shapes: list = field(default_factory=list)
 
 
-def _as_param_arrays(obj) -> list[np.ndarray]:
-    if isinstance(obj, (list, tuple)):
-        return list(obj)
-    return obj.parameter_arrays()
+def _vector(obj) -> np.ndarray:
+    """The flat vector of a NetworkState/Gradients, or a bare 1-D float64 vector."""
+    if isinstance(obj, (NetworkState, Gradients)):
+        return obj.flat
+    if not isinstance(obj, np.ndarray) or obj.ndim != 1 or obj.dtype != np.float64:
+        raise ShapeError("Adam works on a NetworkState, Gradients or 1-D float64 vector")
+    return obj
 
 
 def init_adam(
@@ -404,45 +415,31 @@ def init_adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
-    arrays = _as_param_arrays(params)
+    flat = _vector(params)
     return AdamState(
-        first_moment=[np.zeros_like(a) for a in arrays],
-        second_moment=[np.zeros_like(a) for a in arrays],
+        first_moment=np.zeros_like(flat),
+        second_moment=np.zeros_like(flat),
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
         learning_rate=learning_rate,
-        shapes=[a.shape for a in arrays],
     )
 
 
 def adam_step(state, grads, opt: AdamState):
     """Apply one bias-corrected Adam update in place; returns (state, opt).
 
-    Parameter arrays must be C-contiguous (as produced by init_state), since
-    the update writes through flat views.
+    The whole parameter vector is updated by a single kernel call.
     """
-    params = _as_param_arrays(state)
-    gradients = _as_param_arrays(grads)
-    if len(params) != len(gradients) or len(params) != len(opt.first_moment):
-        raise ShapeError("parameter / gradient / moment counts do not match")
-    for p, g in zip(params, gradients):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    params = _vector(state)
+    gradients = _vector(grads)
+    if not params.size == gradients.size == opt.first_moment.size:
+        raise ShapeError(f"gradient size {gradients.size} != parameter size {params.size}")
     opt.step_count += 1
     c1 = 1.0 - opt.beta1**opt.step_count
     c2 = 1.0 - opt.beta2**opt.step_count
-    for p, g, m, v in zip(params, gradients, opt.first_moment, opt.second_moment):
-        kernels.adam_update(
-            p.reshape(-1),
-            np.ascontiguousarray(g, dtype=np.float64).reshape(-1),
-            m.reshape(-1),
-            v.reshape(-1),
-            c1,
-            c2,
-            opt.learning_rate,
-            opt.beta1,
-            opt.beta2,
-            opt.epsilon,
-        )
+    kernels.adam_update(
+        params, gradients, opt.first_moment, opt.second_moment,
+        c1, c2, opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon,
+    )
     return state, opt

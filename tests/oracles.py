@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: gradients come from
 central finite differences, AUC from explicit pair counting, tree splits
-from exhaustive enumeration, the split scan from a plain loop, CSV cells
-from one ``float()`` call each and trees from an argsort at every node, so a
-shared bug cannot hide in both routes.
+from exhaustive enumeration, the split scan from a plain loop, Adam from one
+update per parameter array, CSV cells from one ``float()`` call each and
+trees from an argsort at every node, so a shared bug cannot hide in both
+routes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,26 @@ def max_relative_error(analytic, reference, floor: float = 1e-6) -> float:
         denom = np.maximum(np.maximum(np.abs(a), np.abs(r)), floor)
         worst = max(worst, float(np.max(np.abs(a - r) / denom)))
     return worst
+
+
+def per_array_adam_step(params, grads, first_moments, second_moments, step_count,
+                        learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """Adam with one update per parameter array, in place.
+
+    This is the update as it ran before parameters shared one vector: a loop
+    over the arrays, each updated on its own.  The kernel's arithmetic is
+    written out here in its operation order, so reordering the kernel's
+    floating-point operations changes its bits against this reference.
+    ``step_count`` is the step being taken (1 for the first).
+    """
+    c1 = 1.0 - beta1**step_count
+    c2 = 1.0 - beta2**step_count
+    for p, g, m, v in zip(params, grads, first_moments, second_moments):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + epsilon)
 
 
 def pair_count_auc(y_true, scores) -> float:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ganbalance import nn
+from ganbalance import classifiers, gan, kernels, nn
 from ganbalance.errors import ConsistencyError, PreconditionError, ShapeError
 from helpers import network_loss, random_network_case
-from oracles import finite_difference_gradients, max_relative_error
+from oracles import finite_difference_gradients, max_relative_error, per_array_adam_step
 
 
 def _state_for(spec, seed=0):
@@ -125,7 +125,8 @@ def test_dropout_infer_is_identity():
     state = _state_for(spec, seed=9)
     x = np.random.default_rng(1).normal(size=(5, 3))
     out, _ = nn.forward(spec, state, x, mode="infer")
-    dense_only, _ = nn.forward([spec[0]], nn.NetworkState([state.layers[0]]), x, mode="infer")
+    dense_state = nn.NetworkState([state.layers[0]], state.flat)  # all of flat is the dense layer
+    dense_only, _ = nn.forward([spec[0]], dense_state, x, mode="infer")
     assert np.array_equal(out, dense_only)
 
 
@@ -268,48 +269,167 @@ def test_backward_from_input_gradient():
 
 
 def test_adam_zero_gradient_is_noop():
-    params = [np.array([1.0, -2.0, 3.0])]
+    params = np.array([1.0, -2.0, 3.0])
     opt = nn.init_adam(params, learning_rate=0.1)
-    nn.adam_step(params, [np.zeros(3)], opt)
-    assert np.array_equal(params[0], [1.0, -2.0, 3.0])
+    nn.adam_step(params, np.zeros(3), opt)
+    assert np.array_equal(params, [1.0, -2.0, 3.0])
     assert opt.step_count == 1
 
 
 def test_adam_first_step_closed_form():
     # bias correction makes the first step magnitude lr/(1 + eps)
-    params = [np.zeros(1)]
+    params = np.zeros(1)
     opt = nn.init_adam(params, learning_rate=0.1)
-    nn.adam_step(params, [np.ones(1)], opt)
-    assert abs(params[0][0] - (-0.1 / (1.0 + 1e-8))) < 1e-15
-    assert abs(params[0][0] + 0.1) < 1e-8
+    nn.adam_step(params, np.ones(1), opt)
+    assert abs(params[0] - (-0.1 / (1.0 + 1e-8))) < 1e-15
+    assert abs(params[0] + 0.1) < 1e-8
 
 
 def test_adam_identical_parameters_stay_identical():
     rng = np.random.default_rng(4)
     a = rng.normal(size=7)
-    params = [a.copy(), a.copy()]
+    params = np.concatenate([a, a])
     opt = nn.init_adam(params, learning_rate=0.01)
     for _ in range(50):
         g = rng.normal(size=7)
-        nn.adam_step(params, [g, g.copy()], opt)
-    assert np.array_equal(params[0], params[1])
+        nn.adam_step(params, np.concatenate([g, g]), opt)
+    assert np.array_equal(params[:7], params[7:])
     assert opt.step_count == 50
 
 
 def test_adam_shape_mismatch_error():
-    params = [np.zeros(3)]
+    params = np.zeros(3)
     opt = nn.init_adam(params, learning_rate=0.1)
     with pytest.raises(ShapeError):
-        nn.adam_step(params, [np.zeros(4)], opt)
+        nn.adam_step(params, np.zeros(4), opt)
+
+
+def test_adam_rejects_non_vector_input():
+    with pytest.raises(ShapeError):
+        nn.init_adam([np.zeros(3)], learning_rate=0.1)
+    with pytest.raises(ShapeError):
+        nn.init_adam(np.zeros((3, 1)), learning_rate=0.1)
 
 
 def test_second_moment_stays_nonnegative():
     rng = np.random.default_rng(6)
-    params = [rng.normal(size=5)]
+    params = rng.normal(size=5)
     opt = nn.init_adam(params, learning_rate=0.05)
     for _ in range(100):
-        nn.adam_step(params, [rng.normal(size=5)], opt)
-        assert np.all(opt.second_moment[0] >= 0.0)
+        nn.adam_step(params, rng.normal(size=5), opt)
+        assert np.all(opt.second_moment >= 0.0)
+
+
+ADAM_SPECS = {
+    "logreg": [nn.dense(10, 1), nn.sigmoid(1)],
+    "mlp": classifiers.mlp_spec(10),
+    "generator": gan.generator_spec(10),
+    "discriminator": gan.discriminator_spec(10),
+}
+
+
+def _train_batch(spec, rng, rows=16):
+    """Inputs and random targets for one bce/categorical-ce training step."""
+    x = rng.normal(size=(rows, spec[0].input_dim))
+    width = spec[-1].output_dim
+    if spec[-1].kind == "softmax":
+        targets = np.eye(width)[rng.integers(0, width, size=rows)]
+        return x, targets, "categorical_ce"
+    return x, rng.integers(0, 2, size=(rows, width)).astype(np.float64), "bce"
+
+
+@pytest.mark.parametrize("name", list(ADAM_SPECS))
+def test_fused_adam_matches_per_array_loop_bit_for_bit(name):
+    spec = ADAM_SPECS[name]
+    state = _state_for(spec, seed=21)
+    reference = [a.copy() for a in state.parameter_arrays()]
+    ref_m = [np.zeros_like(a) for a in reference]
+    ref_v = [np.zeros_like(a) for a in reference]
+    opt = nn.init_adam(state, learning_rate=0.01)
+    rng = np.random.default_rng(22)
+    for step in range(1, 51):
+        x, targets, loss_kind = _train_batch(spec, rng)
+        _, cache = nn.forward(spec, state, x, mode="train", rng=rng)
+        grads = nn.backward(spec, state, cache, loss_kind, targets)
+        per_array_adam_step(
+            reference, [g.copy() for g in grads.parameter_arrays()], ref_m, ref_v, step, 0.01
+        )
+        nn.adam_step(state, grads, opt)
+        for got, want in zip(state.parameter_arrays(), reference):
+            assert np.array_equal(got, want), f"{name}: parameters differ at step {step}"
+        assert np.array_equal(opt.first_moment, np.concatenate([m.ravel() for m in ref_m]))
+        assert np.array_equal(opt.second_moment, np.concatenate([v.ravel() for v in ref_v]))
+
+
+def _assert_views_tile(arrays, flat):
+    """Each array is a view into flat, in order, covering every element once."""
+    assert all(np.shares_memory(a, flat) for a in arrays)
+    saved = flat.copy()
+    flat[:] = np.arange(flat.size)
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), flat)
+    flat[:] = saved
+
+
+@pytest.mark.parametrize("name", list(ADAM_SPECS))
+def test_parameters_and_gradients_are_views_into_one_vector(name):
+    spec = ADAM_SPECS[name]
+    state = _state_for(spec, seed=3)
+    arrays = state.parameter_arrays()
+    expected = []  # spec order: dense (weights, bias), batchnorm (gamma, beta)
+    for layer in spec:
+        if layer.kind == "dense":
+            expected += [(layer.input_dim, layer.output_dim), (layer.output_dim,)]
+        elif layer.kind == "batchnorm":
+            expected += [(layer.input_dim,)] * 2
+    assert [a.shape for a in arrays] == expected
+    _assert_views_tile(arrays, state.flat)
+    rng = np.random.default_rng(4)
+    x, targets, loss_kind = _train_batch(spec, rng)
+    _, cache = nn.forward(spec, state, x, mode="train", rng=rng)
+    grads = nn.backward(spec, state, cache, loss_kind, targets)
+    assert grads.flat.shape == state.flat.shape
+    _assert_views_tile(grads.parameter_arrays(), grads.flat)
+
+
+def test_forward_after_adam_step_sees_updated_weights():
+    spec = classifiers.mlp_spec(10)
+    state = _state_for(spec, seed=5)
+    x, targets, loss_kind = _train_batch(spec, np.random.default_rng(6))
+    before, cache = nn.forward(spec, state, x, mode="train")
+    grads = nn.backward(spec, state, cache, loss_kind, targets)
+    nn.adam_step(state, grads, nn.init_adam(state, learning_rate=0.1))
+    after, _ = nn.forward(spec, state, x, mode="train")
+    rebuilt = _state_for(spec, seed=99)
+    rebuilt.flat[:] = state.flat
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, nn.forward(spec, rebuilt, x, mode="train")[0])
+
+
+def test_adam_step_is_one_kernel_call(monkeypatch):
+    calls = []
+    original = kernels.adam_update
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "adam_update", counted)
+    spec = classifiers.mlp_spec(10)
+    state = _state_for(spec)
+    x, targets, loss_kind = _train_batch(spec, np.random.default_rng(8))
+    _, cache = nn.forward(spec, state, x, mode="train")
+    nn.adam_step(state, nn.backward(spec, state, cache, loss_kind, targets),
+                 nn.init_adam(state, learning_rate=0.01))
+    assert calls == [state.flat.size]
+
+
+def test_adam_step_rejects_gradient_of_another_size():
+    spec = classifiers.mlp_spec(10)
+    state = _state_for(spec)
+    opt = nn.init_adam(state, learning_rate=0.01)
+    with pytest.raises(ShapeError):
+        nn.adam_step(state, np.zeros(state.flat.size - 1), opt)
+    assert opt.step_count == 0
 
 
 def test_training_is_deterministic_under_seed():
