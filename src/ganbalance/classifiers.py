@@ -11,6 +11,7 @@ so equal seeds give bit-identical models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs is not None and self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.learning_rate is not None and not (
+            math.isfinite(self.learning_rate) and self.learning_rate > 0
+        ):
+            raise ValueError("learning_rate must be finite and positive")
         if self.batch_size < 1 or self.max_depth < 1 or self.min_leaf < 1:
             raise ValueError("batch_size, max_depth, min_leaf must be >= 1")
 
@@ -84,8 +87,7 @@ class DecisionTreeModel:
 
 @dataclass
 class MlpModel:
-    state: nn.NetworkState
-    n_features: int
+    network: nn.Network
 
 
 def mlp_spec(input_dim: int, hidden: int = MLP_HIDDEN):
@@ -111,22 +113,25 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
+def _train_network(spec, x, targets, config: TrainConfig, default_lr, default_epochs):
+    """Adam on minibatches of (x, targets), reshuffled every epoch; the loss
+    follows from the spec's last layer."""
+    rng = np.random.default_rng(config.seed)
+    net = nn.init_network(spec, rng, config.learning_rate or default_lr)
+    for _ in range(config.epochs or default_epochs):
+        for idx in _epoch_batches(len(targets), config.batch_size, rng):
+            _, cache = nn.forward(net, x[idx], mode="train")
+            nn.adam_step(net, nn.backward(net, cache, targets[idx]))
+    return net
+
+
 def train_logreg(data: Dataset, config: TrainConfig) -> LogisticModel:
     """Adam on mean binary cross-entropy of sigmoid(w.x + b)."""
     _require_two_classes(data.labels, "logistic regression")
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y = data.labels.astype(np.float64).reshape(-1, 1)
-    d = x.shape[1]
-    rng = np.random.default_rng(config.seed)
-    spec = [nn.dense(d, 1), nn.sigmoid(1)]
-    state = nn.init_state(spec, rng)
-    opt = nn.init_adam(state, config.learning_rate or LOGREG_LR)
-    for _ in range(config.epochs or LOGREG_EPOCHS):
-        for idx in _epoch_batches(len(y), config.batch_size, rng):
-            _, cache = nn.forward(spec, state, x[idx], mode="train")
-            grads = nn.backward(spec, state, cache, "bce", y[idx])
-            nn.adam_step(state, grads, opt)
-    params = state.layers[0]
+    spec = [nn.dense(x.shape[1], 1), nn.sigmoid(1)]
+    params = _train_network(spec, x, y, config, LOGREG_LR, LOGREG_EPOCHS).layers[0]
     return LogisticModel(params.weights[:, 0].copy(), float(params.bias[0]))
 
 
@@ -237,16 +242,7 @@ def train_mlp(data: Dataset, config: TrainConfig) -> MlpModel:
     n = x.shape[0]
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), data.labels] = 1.0
-    rng = np.random.default_rng(config.seed)
-    spec = mlp_spec(x.shape[1])
-    state = nn.init_state(spec, rng)
-    opt = nn.init_adam(state, config.learning_rate or MLP_LR)
-    for _ in range(config.epochs or MLP_EPOCHS):
-        for idx in _epoch_batches(n, config.batch_size, rng):
-            _, cache = nn.forward(spec, state, x[idx], mode="train")
-            grads = nn.backward(spec, state, cache, "categorical_ce", onehot[idx])
-            nn.adam_step(state, grads, opt)
-    return MlpModel(state, x.shape[1])
+    return MlpModel(_train_network(mlp_spec(x.shape[1]), x, onehot, config, MLP_LR, MLP_EPOCHS))
 
 
 def _tree_scores(node: TreeNode, x: np.ndarray, idx: np.ndarray, out: np.ndarray):
@@ -278,8 +274,8 @@ def predict_score(model, X) -> np.ndarray:
         _tree_scores(model.root, x, np.arange(x.shape[0]), out)
         return out
     if isinstance(model, MlpModel):
-        _check_width(x, model.n_features)
-        probs, _ = nn.forward(mlp_spec(model.n_features), model.state, x, mode="infer")
+        _check_width(x, model.network.spec[0].input_dim)
+        probs, _ = nn.forward(model.network, x, mode="infer")
         return probs[:, 1]
     raise TypeError(f"unknown model type {type(model).__name__}")
 
@@ -321,7 +317,7 @@ def serialize_model(model) -> dict:
         }
     elif isinstance(model, MlpModel):
         layers = []
-        for entry in model.state.layers:
+        for entry in model.network.layers:
             if isinstance(entry, nn.DenseParams):
                 layers.append(
                     {
@@ -333,7 +329,7 @@ def serialize_model(model) -> dict:
                 )
             else:
                 layers.append(None)
-        body = {"kind": "mlp", "n_features": model.n_features, "layers": layers}
+        body = {"kind": "mlp", "n_features": model.network.spec[0].input_dim, "layers": layers}
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
     return {"format": "ganbalance.model.v1", **body}

@@ -98,6 +98,15 @@ def _load_split_scale(config: ExperimentConfig):
     return train_scaled, test_scaled
 
 
+def _train_generator(config: ExperimentConfig, train_scaled):
+    """The GAN trained on the split's positives, its log, and the rng that
+    samples from it; ``run`` and ``run_synth`` share every seed here."""
+    positives = augment.isolate_positives(train_scaled)
+    gan_cfg = dataclasses.replace(config.gan, seed=derive_seed(config.seed, "gan-train"))
+    generator, log = gan.train_gan(positives, gan_cfg)
+    return generator, log, np.random.default_rng(derive_seed(config.seed, "gan-generate"))
+
+
 def _train_one(mode, model_name, train_set, test_set, config, out_dir):
     started = time.perf_counter()
     train_cfg = dataclasses.replace(
@@ -154,15 +163,8 @@ def run(config: ExperimentConfig) -> list:
                 augmented = augment.random_oversample(train_scaled, rng)
                 train_set = augmented.as_dataset()
             else:
-                positives = augment.isolate_positives(train_scaled)
-                gan_cfg = dataclasses.replace(
-                    config.gan, seed=derive_seed(config.seed, "gan-train")
-                )
-                generator, gan_log = gan.train_gan(positives, gan_cfg)
-                rng = np.random.default_rng(derive_seed(config.seed, "gan-generate"))
-                augmented = augment.gan_augment(
-                    train_scaled, generator, rng, config.gan.noise_distribution
-                )
+                generator, gan_log, rng = _train_generator(config, train_scaled)
+                augmented = augment.gan_augment(train_scaled, generator, rng)
                 train_set = augmented.as_dataset()
         except GanBalanceError as exc:
             tag = f"{type(exc).__name__}: {exc}"
@@ -199,11 +201,8 @@ def run_synth(config: ExperimentConfig, n_samples: int):
     out_dir.mkdir(parents=True, exist_ok=True)
     _check_writable(out_dir)
     train_scaled, _ = _load_split_scale(config)
-    positives = augment.isolate_positives(train_scaled)
-    gan_cfg = dataclasses.replace(config.gan, seed=derive_seed(config.seed, "gan-train"))
-    generator, log = gan.train_gan(positives, gan_cfg)
-    rng = np.random.default_rng(derive_seed(config.seed, "gan-generate"))
-    samples = gan.generate(generator, n_samples, rng, config.gan.noise_distribution)
+    generator, log, rng = _train_generator(config, train_scaled)
+    samples = gan.generate(generator, n_samples, rng)
     gan.write_samples_csv(samples, out_dir / "generated_samples.csv")
     gan.write_log_csv(log, out_dir / "gan_training_log.csv")
     return samples, log

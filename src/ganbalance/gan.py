@@ -12,6 +12,7 @@ scored against label 1).  Both sides use Adam at the same learning rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,6 @@ class GanTrainConfig:
     epochs: int = 10000
     learning_rate: float = 1e-5
     batch_size: int = 64  # capped at the number of positive rows
-    noise_dim: int = NOISE_DIM
     seed: int = 0
     log_every: int = 1
     noise_distribution: str = "normal"  # or "uniform"
@@ -39,10 +39,12 @@ class GanTrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
         if self.noise_distribution not in ("normal", "uniform"):
             raise ValueError(f"unknown noise distribution {self.noise_distribution!r}")
 
@@ -64,9 +66,18 @@ class GanTrainingLog:
         return len(self.epochs)
 
 
-def generator_spec(feature_dim: int = 30, noise_dim: int = NOISE_DIM):
+@dataclass(frozen=True)
+class Generator:
+    """A trained generator network and the noise it was trained on; its
+    noise dimension is ``network.spec[0].input_dim``."""
+
+    network: nn.Network
+    noise_distribution: str
+
+
+def generator_spec(feature_dim: int = 30):
     return [
-        nn.dense(noise_dim, GENERATOR_HIDDEN),
+        nn.dense(NOISE_DIM, GENERATOR_HIDDEN),
         nn.relu(GENERATOR_HIDDEN),
         nn.dense(GENERATOR_HIDDEN, feature_dim),
         nn.relu(feature_dim),
@@ -85,14 +96,6 @@ def discriminator_spec(feature_dim: int = 30):
     return spec
 
 
-def _generator_dims(generator: nn.NetworkState) -> tuple[int, int]:
-    """(noise_dim, feature_dim) recovered from the trained parameter shapes."""
-    dense_layers = [p for p in generator.layers if isinstance(p, nn.DenseParams)]
-    if not dense_layers:
-        raise PreconditionError("state holds no dense layers; not a generator")
-    return dense_layers[0].weights.shape[0], dense_layers[-1].weights.shape[1]
-
-
 def sample_noise(
     n: int,
     rng: np.random.Generator,
@@ -108,14 +111,11 @@ def sample_noise(
     raise ValueError(f"unknown noise distribution {distribution!r}")
 
 
-def train_gan(
-    positives: Dataset, config: GanTrainConfig, hook=None
-) -> tuple[nn.NetworkState, GanTrainingLog]:
+def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[Generator, GanTrainingLog]:
     """Train the adversarial pair on minority rows.
 
-    ``hook(kind, epoch)``, when given, is called after every parameter update
-    with kind "disc" or "gen"; tests use it to audit the alternation.
-    Returns the trained generator state and the per-epoch log.
+    Returns the trained generator, which carries the config's noise
+    distribution, and the per-epoch log.
     """
     x = positives.features
     if x.shape[0] < 2:
@@ -127,12 +127,9 @@ def train_gan(
 
     feature_dim = x.shape[1]
     rng = np.random.default_rng(config.seed)
-    gen_spec = generator_spec(feature_dim, config.noise_dim)
-    disc_spec = discriminator_spec(feature_dim)
-    gen_state = nn.init_state(gen_spec, rng)
-    disc_state = nn.init_state(disc_spec, rng)
-    gen_opt = nn.init_adam(gen_state, config.learning_rate)
-    disc_opt = nn.init_adam(disc_state, config.learning_rate)
+    gen = nn.init_network(generator_spec(feature_dim), rng, config.learning_rate)
+    disc = nn.init_network(discriminator_spec(feature_dim), rng, config.learning_rate)
+    dist = config.noise_distribution
 
     n = x.shape[0]
     batch = min(config.batch_size, n)
@@ -144,55 +141,37 @@ def train_gan(
     for epoch in range(1, config.epochs + 1):
         # discriminator step: real batch vs freshly generated batch
         real = x[rng.choice(n, size=batch, replace=False)]
-        noise = sample_noise(batch, rng, config.noise_dim, config.noise_distribution)
-        fake, _ = nn.forward(gen_spec, gen_state, noise, mode="train")
-        disc_in = np.vstack([real, fake])
-        disc_out, disc_cache = nn.forward(
-            disc_spec, disc_state, disc_in, mode="train", rng=rng
-        )
+        fake, _ = nn.forward(gen, sample_noise(batch, rng, NOISE_DIM, dist), mode="train")
+        disc_out, disc_cache = nn.forward(disc, np.vstack([real, fake]), mode="train", rng=rng)
         disc_loss = nn.loss_bce(disc_out, disc_targets)
         disc_acc = float(np.mean((disc_out > 0.5).astype(np.int64) == disc_targets))
-        grads = nn.backward(disc_spec, disc_state, disc_cache, "bce", disc_targets)
-        nn.adam_step(disc_state, grads, disc_opt)
-        if hook is not None:
-            hook("disc", epoch)
+        nn.adam_step(disc, nn.backward(disc, disc_cache, disc_targets))
 
         # generator step: push fakes toward the discriminator's "real" label
-        noise = sample_noise(batch, rng, config.noise_dim, config.noise_distribution)
-        fake, gen_cache = nn.forward(gen_spec, gen_state, noise, mode="train")
-        disc_out, disc_cache = nn.forward(
-            disc_spec, disc_state, fake, mode="train", rng=rng
-        )
+        fake, gen_cache = nn.forward(gen, sample_noise(batch, rng, NOISE_DIM, dist), mode="train")
+        disc_out, disc_cache = nn.forward(disc, fake, mode="train", rng=rng)
         gen_loss = nn.loss_bce(disc_out, real_labels)
-        disc_grads = nn.backward(disc_spec, disc_state, disc_cache, "bce", real_labels)
-        gen_grads = nn.backward_from(gen_spec, gen_state, gen_cache, disc_grads.wrt_input)
-        nn.adam_step(gen_state, gen_grads, gen_opt)
-        if hook is not None:
-            hook("gen", epoch)
+        disc_grads = nn.backward(disc, disc_cache, real_labels)
+        nn.adam_step(gen, nn.backward_from(gen, gen_cache, disc_grads.wrt_input))
 
         if epoch % config.log_every == 0 or epoch == config.epochs:
             log.append(epoch, gen_loss, disc_loss, disc_acc)
 
-    return gen_state, log
+    return Generator(gen, dist), log
 
 
-def generate(
-    generator: nn.NetworkState,
-    n: int,
-    rng: np.random.Generator,
-    noise_distribution: str = "normal",
-) -> np.ndarray:
+def generate(generator: Generator, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample n synthetic minority rows; every value is strictly in (0, 1).
 
-    Runs in inference mode (no dropout, running batchnorm statistics), so the
-    output depends only on the parameters and the rng.
+    Draws noise from the generator's own distribution and runs in inference
+    mode (no dropout, running batchnorm statistics), so the output depends
+    only on the generator and the rng.
     """
     if n < 1:
         raise PreconditionError("need n >= 1 generated rows")
-    noise_dim, feature_dim = _generator_dims(generator)
-    spec = generator_spec(feature_dim, noise_dim)
-    noise = sample_noise(n, rng, noise_dim, noise_distribution)
-    out, _ = nn.forward(spec, generator, noise, mode="infer")
+    network = generator.network
+    noise = sample_noise(n, rng, network.spec[0].input_dim, generator.noise_distribution)
+    out, _ = nn.forward(network, noise, mode="infer")
     # sigmoid saturates to exactly 0.0/1.0 in float64 for |z| > ~37; nudge
     # back inside the open interval the downstream contract expects
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))

@@ -1,9 +1,10 @@
 """Minimal dense-network engine: forward/backward passes, losses, Adam.
 
-Networks are described by a flat list of :class:`LayerSpec` entries (dense,
-relu, sigmoid, softmax, batchnorm, dropout) with learned parameters held in a
-:class:`NetworkState` that mirrors the spec layer-for-layer.  Everything runs
-in float64; training is deterministic given the caller's seeded generator.
+A network is described by a flat list of :class:`LayerSpec` entries (dense,
+relu, sigmoid, softmax, batchnorm, dropout) and held as one :class:`Network`
+value: the validated spec, the learned parameters mirroring it
+layer-for-layer, and the Adam state.  Everything runs in float64; training is
+deterministic given the caller's seeded generator.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ LAYER_KINDS = ("dense", "relu", "sigmoid", "softmax", "batchnorm", "dropout")
 LOG_CLIP_EPS = 1e-7
 BATCHNORM_EPS = 1e-5
 BATCHNORM_MOMENTUM = 0.99
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ def dropout(dim: int, rate: float) -> LayerSpec:
     return LayerSpec("dropout", dim, dim, rate=rate)
 
 
-def validate_spec(spec: list[LayerSpec]) -> None:
+def validate_spec(spec) -> None:
     """Check the stack is non-empty and adjacent dimensions agree."""
     if not spec:
         raise ValueError("network spec is empty")
@@ -78,20 +82,18 @@ def validate_spec(spec: list[LayerSpec]) -> None:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseParams:
     weights: np.ndarray  # (input_dim, output_dim)
     bias: np.ndarray  # (output_dim,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchNormParams:
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = BATCHNORM_MOMENTUM
-    epsilon: float = BATCHNORM_EPS
 
 
 def _parameter_arrays(entries) -> list[np.ndarray]:
@@ -104,16 +106,25 @@ def _parameter_arrays(entries) -> list[np.ndarray]:
     return out
 
 
-@dataclass
-class NetworkState:
-    """Learned parameters, one entry per spec layer (None for stateless).
+@dataclass(eq=False)
+class Network:
+    """One trainable network: its spec, its parameters and its Adam state.
 
+    ``layers`` holds one entry per spec layer (None for stateless layers).
     Every Adam-trained array (dense weights/bias, batchnorm gamma/beta) is a
-    view into ``flat``, one float64 vector in ``parameter_arrays()`` order.
+    view into ``flat``, one float64 vector in ``parameter_arrays()`` order;
+    the Adam moments are vectors of the same size.  Build it with
+    :func:`init_network`, which validates the spec.
     """
 
-    layers: list
+    spec: tuple
+    layers: tuple
     flat: np.ndarray
+    learning_rate: float
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    has_dropout: bool
+    step_count: int = 0
 
     def parameter_arrays(self) -> list[np.ndarray]:
         return _parameter_arrays(self.layers)
@@ -135,8 +146,10 @@ def _store(flat, end, first, second) -> tuple[np.ndarray, np.ndarray]:
     return first_view, flat[mid:end]
 
 
-def init_state(spec: list[LayerSpec], rng: np.random.Generator) -> NetworkState:
-    """Glorot-uniform dense weights, zero biases, identity batchnorm."""
+def init_network(spec, rng: np.random.Generator, learning_rate: float) -> Network:
+    """Glorot-uniform dense weights, zero biases, identity batchnorm and zero
+    Adam moments; ``learning_rate`` is the step size of :func:`adam_step`."""
+    spec = tuple(spec)
     validate_spec(spec)
     flat = np.empty(sum(_trained_size(layer) for layer in spec))
     layers, end = [], 0
@@ -153,32 +166,21 @@ def init_state(spec: list[LayerSpec], rng: np.random.Generator) -> NetworkState:
             layers.append(BatchNormParams(gamma, beta, np.zeros(d), np.ones(d)))
         else:
             layers.append(None)
-    return NetworkState(layers, flat)
+    has_dropout = any(layer.kind == "dropout" for layer in spec)
+    return Network(spec, tuple(layers), flat, learning_rate,
+                   np.zeros_like(flat), np.zeros_like(flat), has_dropout)
 
 
 @dataclass
 class ForwardCache:
+    network: Network
     mode: str
     layer_data: list
     output: np.ndarray
 
 
-def activation(kind: str, x) -> np.ndarray:
-    """Apply relu/sigmoid elementwise or softmax row-wise (max-shifted)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if kind == "relu":
-        return kernels.relu_forward(arr)
-    if kind == "sigmoid":
-        return kernels.sigmoid_forward(arr)
-    if kind == "softmax":
-        out = kernels.softmax_forward(np.atleast_2d(arr))
-        return out[0] if arr.ndim == 1 else out
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
 def forward(
-    spec: list[LayerSpec],
-    state: NetworkState,
+    net: Network,
     x,
     mode: str = "train",
     rng: np.random.Generator | None = None,
@@ -191,26 +193,18 @@ def forward(
     """
     if mode not in ("train", "infer"):
         raise PreconditionError(f"mode must be 'train' or 'infer', got {mode!r}")
-    validate_spec(spec)
-    if len(state.layers) != len(spec):
-        raise ConsistencyError("state does not have one entry per spec layer")
     h = np.ascontiguousarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ShapeError(f"input must be 2-D, got shape {h.shape}")
-    if h.shape[1] != spec[0].input_dim:
+    if h.shape[1] != net.spec[0].input_dim:
         raise ShapeError(
-            f"input has {h.shape[1]} columns, first layer expects {spec[0].input_dim}"
+            f"input has {h.shape[1]} columns, first layer expects {net.spec[0].input_dim}"
         )
-    if (
-        mode == "train"
-        and rng is None
-        and any(layer.kind == "dropout" and layer.rate > 0 for layer in spec)
-    ):
+    if mode == "train" and rng is None and net.has_dropout:
         raise PreconditionError("training with dropout layers requires an rng")
 
     layer_data = []
-    for i, layer in enumerate(spec):
-        params = state.layers[i]
+    for layer, params in zip(net.spec, net.layers):
         if layer.kind == "dense":
             layer_data.append(("dense", h))
             h = kernels.dense_forward(h, params.weights, params.bias)
@@ -226,11 +220,11 @@ def forward(
         elif layer.kind == "batchnorm":
             if mode == "train":
                 h, xhat, mean, var = kernels.batchnorm_train_forward(
-                    h, params.gamma, params.beta, params.epsilon
+                    h, params.gamma, params.beta, BATCHNORM_EPS
                 )
-                m = params.momentum
-                params.running_mean = m * params.running_mean + (1.0 - m) * mean
-                params.running_var = m * params.running_var + (1.0 - m) * var
+                m = BATCHNORM_MOMENTUM
+                params.running_mean[...] = m * params.running_mean + (1.0 - m) * mean
+                params.running_var[...] = m * params.running_var + (1.0 - m) * var
                 layer_data.append(("batchnorm", xhat, var))
             else:
                 h = kernels.batchnorm_infer_forward(
@@ -239,7 +233,7 @@ def forward(
                     params.beta,
                     params.running_mean,
                     params.running_var,
-                    params.epsilon,
+                    BATCHNORM_EPS,
                 )
                 layer_data.append(("batchnorm",))
         elif layer.kind == "dropout":
@@ -249,7 +243,7 @@ def forward(
                 layer_data.append(("dropout", mult))
             else:
                 layer_data.append(("dropout",))
-    return h, ForwardCache(mode=mode, layer_data=layer_data, output=h)
+    return h, ForwardCache(net, mode, layer_data, h)
 
 
 def loss_bce(predicted, target) -> float:
@@ -288,9 +282,9 @@ class BatchNormGrads:
 
 @dataclass
 class Gradients:
-    """Per-parameter gradients mirroring NetworkState, plus d(loss)/d(input).
+    """Per-parameter gradients mirroring a Network, plus d(loss)/d(input).
 
-    The gradient arrays are views into ``flat``, laid out as the state's.
+    The gradient arrays are views into ``flat``, laid out as the network's.
     """
 
     layers: list
@@ -306,28 +300,23 @@ def _softmax_backward(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return y * (delta - inner)
 
 
-def _check_cache(spec, cache: ForwardCache) -> None:
+def _check_cache(net: Network, cache: ForwardCache) -> None:
     if cache.mode != "train":
         raise ConsistencyError("backward requires a cache from a train-mode forward")
-    if len(cache.layer_data) != len(spec):
-        raise ConsistencyError("cache does not match the network spec")
-    for layer, entry in zip(spec, cache.layer_data):
-        if entry[0] != layer.kind:
-            raise ConsistencyError(
-                f"cache entry {entry[0]!r} does not match layer kind {layer.kind!r}"
-            )
+    if cache.network is not net:
+        raise ConsistencyError("cache was made by another network's forward")
 
 
-def _walk_backward(spec, state, cache, delta, start) -> Gradients:
-    flat = np.empty_like(state.flat)
+def _walk_backward(net: Network, cache: ForwardCache, delta, start) -> Gradients:
+    flat = np.empty_like(net.flat)
     end = flat.size  # layers run last to first, so each one's slice ends here
-    grads = [None] * len(spec)
+    grads = [None] * len(net.spec)
     for i in range(start, -1, -1):
-        layer = spec[i]
+        layer = net.spec[i]
         entry = cache.layer_data[i]
         if layer.kind == "dense":
             d_w, d_b, delta = kernels.dense_backward(
-                entry[1], np.ascontiguousarray(delta), state.layers[i].weights
+                entry[1], np.ascontiguousarray(delta), net.layers[i].weights
             )
             grads[i] = DenseGrads(*_store(flat, end, d_w, d_b))
             end -= d_w.size + d_b.size
@@ -338,9 +327,9 @@ def _walk_backward(spec, state, cache, delta, start) -> Gradients:
         elif layer.kind == "softmax":
             delta = _softmax_backward(entry[1], delta)
         elif layer.kind == "batchnorm":
-            params = state.layers[i]
             delta, d_gamma, d_beta = kernels.batchnorm_backward(
-                np.ascontiguousarray(delta), entry[1], params.gamma, entry[2], params.epsilon
+                np.ascontiguousarray(delta), entry[1], net.layers[i].gamma, entry[2],
+                BATCHNORM_EPS,
             )
             grads[i] = BatchNormGrads(*_store(flat, end, d_gamma, d_beta))
             end -= d_gamma.size + d_beta.size
@@ -349,97 +338,50 @@ def _walk_backward(spec, state, cache, delta, start) -> Gradients:
     return Gradients(layers=grads, flat=flat, wrt_input=delta)
 
 
-def backward(spec, state, cache: ForwardCache, loss_kind: str, targets) -> Gradients:
+def backward(net: Network, cache: ForwardCache, targets) -> Gradients:
     """Gradients of the mean loss for every parameter.
 
-    The final sigmoid+BCE or softmax+CE pair is folded into the numerically
-    stable (prediction - target) form, so the spec's last layer must be the
-    activation matching ``loss_kind``.
+    The loss follows from the last layer: binary cross-entropy after a
+    sigmoid, categorical cross-entropy after a softmax.  Either pair is folded
+    into the numerically stable (prediction - target) form.
     """
-    _check_cache(spec, cache)
+    _check_cache(net, cache)
     t = np.asarray(targets, dtype=np.float64)
     p = cache.output
     if p.shape != t.shape:
         raise ShapeError(f"prediction shape {p.shape} != target shape {t.shape}")
-    last = spec[-1].kind
-    if loss_kind == "bce":
-        if last != "sigmoid":
-            raise ConsistencyError("bce backward requires a final sigmoid layer")
+    last = net.spec[-1].kind
+    if last == "sigmoid":
         delta = (p - t) / p.size
-    elif loss_kind == "categorical_ce":
-        if last != "softmax":
-            raise ConsistencyError("categorical_ce backward requires a final softmax layer")
+    elif last == "softmax":
         delta = (p - t) / p.shape[0]
     else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    return _walk_backward(spec, state, cache, delta, len(spec) - 2)
+        raise ConsistencyError(f"backward needs a final sigmoid or softmax layer, not {last!r}")
+    return _walk_backward(net, cache, delta, len(net.spec) - 2)
 
 
-def backward_from(spec, state, cache: ForwardCache, grad_output) -> Gradients:
+def backward_from(net: Network, cache: ForwardCache, grad_output) -> Gradients:
     """Backpropagate an upstream gradient (chains networks, e.g. GAN G<-D)."""
-    _check_cache(spec, cache)
+    _check_cache(net, cache)
     delta = np.asarray(grad_output, dtype=np.float64)
     if delta.shape != cache.output.shape:
         raise ShapeError(
             f"upstream gradient shape {delta.shape} != output shape {cache.output.shape}"
         )
-    return _walk_backward(spec, state, cache, delta, len(spec) - 1)
+    return _walk_backward(net, cache, delta, len(net.spec) - 1)
 
 
-@dataclass
-class AdamState:
-    """Adam moments for one flat parameter vector."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    learning_rate: float = 1e-3
-
-
-def _vector(obj) -> np.ndarray:
-    """The flat vector of a NetworkState/Gradients, or a bare 1-D float64 vector."""
-    if isinstance(obj, (NetworkState, Gradients)):
-        return obj.flat
-    if not isinstance(obj, np.ndarray) or obj.ndim != 1 or obj.dtype != np.float64:
-        raise ShapeError("Adam works on a NetworkState, Gradients or 1-D float64 vector")
-    return obj
-
-
-def init_adam(
-    params,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
-    flat = _vector(params)
-    return AdamState(
-        first_moment=np.zeros_like(flat),
-        second_moment=np.zeros_like(flat),
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        learning_rate=learning_rate,
-    )
-
-
-def adam_step(state, grads, opt: AdamState):
-    """Apply one bias-corrected Adam update in place; returns (state, opt).
+def adam_step(net: Network, grads: Gradients) -> None:
+    """Apply one bias-corrected Adam update to ``net``'s parameters in place.
 
     The whole parameter vector is updated by a single kernel call.
     """
-    params = _vector(state)
-    gradients = _vector(grads)
-    if not params.size == gradients.size == opt.first_moment.size:
-        raise ShapeError(f"gradient size {gradients.size} != parameter size {params.size}")
-    opt.step_count += 1
-    c1 = 1.0 - opt.beta1**opt.step_count
-    c2 = 1.0 - opt.beta2**opt.step_count
+    if grads.flat.size != net.flat.size:
+        raise ShapeError(f"gradient size {grads.flat.size} != parameter size {net.flat.size}")
+    net.step_count += 1
+    c1 = 1.0 - ADAM_BETA1**net.step_count
+    c2 = 1.0 - ADAM_BETA2**net.step_count
     kernels.adam_update(
-        params, gradients, opt.first_moment, opt.second_moment,
-        c1, c2, opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon,
+        net.flat, grads.flat, net.first_moment, net.second_moment,
+        c1, c2, net.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
     )
-    return state, opt

@@ -5,20 +5,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ganbalance import nn
+from ganbalance import gan, nn
 from ganbalance.data import Dataset
 
 HIDDEN_KINDS = ("relu", "sigmoid", "batchnorm", "dropout")
 
 
-def network_loss(spec, state, x, targets, loss_kind, dropout_seed=0):
+def network_loss(net, x, targets, loss_kind, dropout_seed=0):
     """Train-mode forward + loss with a reproducible dropout mask.
 
     The fixed seed makes the loss a deterministic function of the parameters,
     which finite differencing requires.
     """
     rng = np.random.default_rng(dropout_seed)
-    out, _ = nn.forward(spec, state, x, mode="train", rng=rng)
+    out, _ = nn.forward(net, x, mode="train", rng=rng)
     if loss_kind == "bce":
         return nn.loss_bce(out, targets)
     return nn.loss_categorical_ce(out, targets)
@@ -27,7 +27,7 @@ def network_loss(spec, state, x, targets, loss_kind, dropout_seed=0):
 def random_network_case(rng: np.random.Generator, loss_kind: str, hidden_kinds=None):
     """Random small network ending in the activation its loss requires.
 
-    Returns (spec, state, x, targets).  Batchnorm is only placed when the
+    Returns (network, x, targets).  Batchnorm is only placed when the
     batch has >= 2 rows; dropout layers use a modest rate so gradients stay
     informative.
     """
@@ -55,9 +55,17 @@ def random_network_case(rng: np.random.Generator, loss_kind: str, hidden_kinds=N
         spec += [nn.dense(width, classes), nn.softmax(classes)]
         targets = np.zeros((batch, classes))
         targets[np.arange(batch), rng.integers(0, classes, size=batch)] = 1.0
-    state = nn.init_state(spec, rng)
+    net = nn.init_network(spec, rng, learning_rate=0.01)
     x = rng.normal(size=(batch, in_dim))
-    return spec, state, x, targets
+    return net, x, targets
+
+
+def fresh_generator(feature_dim: int, seed: int = 0) -> gan.Generator:
+    """An untrained normal-noise generator with Glorot weights drawn from ``seed``."""
+    network = nn.init_network(
+        gan.generator_spec(feature_dim), np.random.default_rng(seed), learning_rate=1e-5
+    )
+    return gan.Generator(network, "normal")
 
 
 def gaussian_blobs(

@@ -26,7 +26,7 @@ from ganbalance import augment, gan, metrics, nn
 from ganbalance.classifiers import TrainConfig, train_tree
 from ganbalance.cli import main
 from ganbalance.data import Dataset
-from helpers import network_loss, random_network_case
+from helpers import fresh_generator, network_loss, random_network_case
 from oracles import (
     brute_force_best_split,
     finite_difference_gradients,
@@ -67,19 +67,17 @@ def test_c1_gradients_match_finite_differences(capsys):
         else:
             loss_kind = "bce" if case % 2 == 0 else "categorical_ce"
             hidden = None
-        spec, state, x, targets = random_network_case(rng, loss_kind, hidden)
-        kinds_seen.update(layer.kind for layer in spec)
+        net, x, targets = random_network_case(rng, loss_kind, hidden)
+        kinds_seen.update(layer.kind for layer in net.spec)
         losses_seen.add(loss_kind)
 
-        _, cache = nn.forward(
-            spec, state, x, mode="train", rng=np.random.default_rng(case)
-        )
-        analytic = nn.backward(spec, state, cache, loss_kind, targets)
+        _, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(case))
+        analytic = nn.backward(net, cache, targets)
 
         def loss():
-            return network_loss(spec, state, x, targets, loss_kind, case)
+            return network_loss(net, x, targets, loss_kind, case)
 
-        fd = finite_difference_gradients(loss, state.parameter_arrays(), h=1e-5)
+        fd = finite_difference_gradients(loss, net.parameter_arrays(), h=1e-5)
         worst = max(worst, max_relative_error(analytic.parameter_arrays(), fd))
     elapsed = time.perf_counter() - started
 
@@ -168,7 +166,7 @@ def test_c4_balancing_hits_exact_row_counts(capsys):
     train = Dataset(features, labels)
 
     over = augment.random_oversample(train, np.random.default_rng(1))
-    generator = nn.init_state(gan.generator_spec(8), np.random.default_rng(2))
+    generator = fresh_generator(8, seed=2)
     ganned = augment.gan_augment(train, generator, np.random.default_rng(3))
 
     counts = (

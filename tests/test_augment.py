@@ -3,24 +3,19 @@
 import numpy as np
 import pytest
 
-from ganbalance import augment, gan, nn
+from ganbalance import augment
 from ganbalance.data import Dataset
 from ganbalance.errors import (
     EmptyMinorityError,
     NothingToBalanceError,
     PreconditionError,
 )
-from helpers import gaussian_blobs
+from helpers import fresh_generator, gaussian_blobs
 
 
 def _imbalanced(n_pos, n_neg, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     return gaussian_blobs(rng, n_pos, n_neg, dim)
-
-
-def _fresh_generator(dim, seed=0):
-    spec = gan.generator_spec(dim)
-    return nn.init_state(spec, np.random.default_rng(seed))
 
 
 def test_isolate_positives_selects_and_preserves_order():
@@ -101,7 +96,7 @@ def test_oversample_deterministic():
 
 def test_gan_augment_balances_exactly():
     ds = _imbalanced(30, 70, dim=5)
-    out = augment.gan_augment(ds, _fresh_generator(5), np.random.default_rng(6))
+    out = augment.gan_augment(ds, fresh_generator(5), np.random.default_rng(6))
     assert out.positive_count == out.negative_count == 70
     assert len(out.labels) == 140
     generated = out.features[len(ds.labels):]
@@ -112,19 +107,19 @@ def test_gan_augment_balances_exactly():
 
 def test_gan_augment_boundary_single_row():
     ds = _imbalanced(9, 10, dim=3)
-    out = augment.gan_augment(ds, _fresh_generator(3), np.random.default_rng(7))
+    out = augment.gan_augment(ds, fresh_generator(3), np.random.default_rng(7))
     assert np.sum(out.provenance == "generated") == 1
 
 
 def test_gan_augment_nothing_to_balance():
     ds = _imbalanced(6, 6)
     with pytest.raises(NothingToBalanceError):
-        augment.gan_augment(ds, _fresh_generator(4), np.random.default_rng(0))
+        augment.gan_augment(ds, fresh_generator(4), np.random.default_rng(0))
 
 
 def test_gan_augment_deterministic():
     ds = _imbalanced(12, 40, dim=3)
-    generator = _fresh_generator(3, seed=2)
+    generator = fresh_generator(3, seed=2)
     a = augment.gan_augment(ds, generator, np.random.default_rng(8))
     b = augment.gan_augment(ds, generator, np.random.default_rng(8))
     assert np.array_equal(a.features, b.features)

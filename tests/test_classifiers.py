@@ -166,6 +166,12 @@ def test_tree_min_leaf_respected():
     check(model.root)
 
 
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_train_config_rejects_non_finite_learning_rate(learning_rate):
+    with pytest.raises(ValueError):
+        cl.TrainConfig(learning_rate=learning_rate)
+
+
 def test_mlp_separable_reaches_high_accuracy():
     ds = _separable_1d(n=80, seed=16)
     config = cl.TrainConfig(epochs=400, learning_rate=1e-2, seed=17)
@@ -176,11 +182,9 @@ def test_mlp_separable_reaches_high_accuracy():
 
 def test_mlp_untrained_outputs_near_uniform():
     rng = np.random.default_rng(18)
-    spec = cl.mlp_spec(4)
     from ganbalance import nn
 
-    state = nn.init_state(spec, rng)
-    model = cl.MlpModel(state, 4)
+    model = cl.MlpModel(nn.init_network(cl.mlp_spec(4), rng, cl.MLP_LR))
     scores = cl.predict_score(model, rng.normal(size=(50, 4)) * 0.1)
     assert np.all(np.abs(scores - 0.5) < 0.2)
 
@@ -190,7 +194,7 @@ def test_mlp_deterministic():
     config = cl.TrainConfig(epochs=20, seed=20)
     a = cl.train_mlp(ds, config)
     b = cl.train_mlp(ds, config)
-    for pa, pb in zip(a.state.parameter_arrays(), b.state.parameter_arrays()):
+    for pa, pb in zip(a.network.parameter_arrays(), b.network.parameter_arrays()):
         assert np.array_equal(pa, pb)
 
 
@@ -205,7 +209,7 @@ def test_mlp_label_agrees_with_argmax():
     model = cl.train_mlp(ds, cl.TrainConfig(epochs=30, seed=22))
     from ganbalance import nn
 
-    probs, _ = nn.forward(cl.mlp_spec(1), model.state, ds.features, mode="infer")
+    probs, _ = nn.forward(model.network, ds.features, mode="infer")
     argmax = probs.argmax(axis=1)
     labels = cl.predict_label(model, ds.features)
     assert np.array_equal(labels, argmax)

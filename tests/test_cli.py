@@ -1,10 +1,16 @@
 """Command-line entry points: argument wiring, exit codes, console messages."""
 
+import csv
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ganbalance.cli import build_parser, main
 from helpers import gaussian_blobs, write_dataset_csv
@@ -111,3 +117,94 @@ def test_seed_flag_changes_outputs(corpus, tmp_path, capsys):
     dump_a = (out_a / "train_augmented.csv").read_bytes()
     dump_b = (out_b / "train_augmented.csv").read_bytes()
     assert dump_a != dump_b
+
+
+@pytest.mark.parametrize(
+    "flag", ["--gan-lr=nan", "--gan-lr=inf", "--gan-lr=-inf",
+             "--gan-log-every=0", "--gan-log-every=-1"],
+)
+def test_invalid_gan_setting_exits_two(corpus, tmp_path, capsys, flag):
+    code = main(
+        ["synth", "--data", str(corpus), "--out", str(tmp_path), "--n", "5",
+         "--gan-epochs", "2", flag, *SPLIT_FLAGS]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert not (tmp_path / "generated_samples.csv").exists()
+
+
+def _split(pos_train, pos_test, neg_train, neg_test):
+    return (neg_train + pos_train, neg_test + pos_test, pos_train, pos_test)
+
+
+# Each flag draws from its valid or its invalid values; the invalid set is
+# drawn first, so that most examples reach training with only a few bad flags.
+_VALID = {
+    "gan-lr": st.floats(min_value=1e-8, max_value=1e300).map(repr),
+    "gan-log-every": st.integers(1, 4),
+    "gan-batch": st.integers(1, 70),
+    "gan-epochs": st.integers(1, 3),
+    "mlp-epochs": st.just(1),
+    "n": st.integers(1, 5),
+    # within the corpus: 40 positive and 260 negative rows
+    "split": st.builds(_split, st.integers(0, 25), st.integers(0, 15),
+                       st.integers(0, 150), st.integers(0, 110)),
+    "modes": st.lists(st.sampled_from(["raw", "oversample", "gan"]), min_size=1,
+                      max_size=3, unique=True),
+    "models": st.lists(st.sampled_from(["svm", "dt", "logreg", "mlp"]), min_size=1,
+                       max_size=4, unique=True),
+}
+_INVALID = {
+    "gan-lr": st.sampled_from(["nan", "inf", "-inf", "0", "-0.001"]),
+    "gan-log-every": st.integers(-2, 0),
+    "gan-batch": st.integers(-1, 0),
+    "gan-epochs": st.integers(-1, 0),
+    "mlp-epochs": st.integers(-1, 0),
+    "n": st.integers(-1, 0),
+    "split": st.tuples(*(st.integers(-1, 400) for _ in range(4))),
+    "modes": st.lists(st.sampled_from(["raw", "gan", "bogus"]), max_size=2, unique=True),
+    "models": st.lists(st.sampled_from(["dt", "bogus"]), max_size=2, unique=True),
+}
+
+
+def _assert_written_csvs_are_finite(out_dir: Path) -> None:
+    for path in out_dir.glob("*.csv"):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows, f"{path.name} is empty"
+        for row in rows[1:]:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # mode, model, provenance and status cells
+                assert math.isfinite(value), f"{path.name}: non-finite cell {cell!r}"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["run", "synth"]),
+    invalid=st.sets(st.sampled_from(sorted(_VALID)), max_size=2),
+    data=st.data(),
+)
+def test_any_flag_values_exit_cleanly_with_finite_outputs(
+    corpus, tmp_path, command, invalid, data
+):
+    value = {name: data.draw((_INVALID if name in invalid else _VALID)[name], label=name)
+             for name in _VALID}
+    flags = [f"--{name}={value[name]}" for name in ("gan-lr", "gan-log-every", "gan-batch",
+                                                    "gan-epochs")]
+    flags += [f"--{name}={v}" for name, v in
+              zip(("train-size", "test-size", "train-pos", "test-pos"), value["split"])]
+    if command == "run":
+        flags += [f"--mlp-epochs={value['mlp-epochs']}",
+                  f"--modes={','.join(value['modes'])}",
+                  f"--models={','.join(value['models'])}"]
+    else:
+        flags.append(f"--n={value['n']}")
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+        code = main([command, "--data", str(corpus), "--out", out, *flags])
+        assert code in (0, 2, 3)
+        _assert_written_csvs_are_finite(Path(out))

@@ -6,6 +6,7 @@ import pytest
 from ganbalance import gan, nn
 from ganbalance.data import Dataset
 from ganbalance.errors import PreconditionError
+from helpers import fresh_generator
 
 
 def _minority(n=40, dim=5, seed=0):
@@ -49,6 +50,18 @@ def test_config_validation():
         gan.GanTrainConfig(noise_distribution="cauchy")
 
 
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_learning_rate(learning_rate):
+    with pytest.raises(ValueError):
+        gan.GanTrainConfig(learning_rate=learning_rate)
+
+
+@pytest.mark.parametrize("log_every", [0, -1])
+def test_config_rejects_log_every_below_one(log_every):
+    with pytest.raises(ValueError):
+        gan.GanTrainConfig(log_every=log_every)
+
+
 def test_sample_noise_shape_and_determinism():
     a = gan.sample_noise(3, np.random.default_rng(1))
     b = gan.sample_noise(3, np.random.default_rng(1))
@@ -77,13 +90,23 @@ def test_train_single_epoch_smoke():
     assert log.epochs == [1]
     assert np.isfinite(log.gen_loss[0]) and np.isfinite(log.disc_loss[0])
     assert 0.0 <= log.disc_acc[0] <= 1.0
-    assert isinstance(generator, nn.NetworkState)
+    assert isinstance(generator.network, nn.Network)
+    assert generator.noise_distribution == config.noise_distribution
 
 
-def test_update_alternation_via_hook():
+def test_update_alternation_via_hook(monkeypatch):
+    # record which network each Adam update went to, and its step count
     calls = []
+    original = nn.adam_step
+
+    def recorded(net, grads):
+        original(net, grads)
+        kind = "gen" if net.spec[0].input_dim == gan.NOISE_DIM else "disc"
+        calls.append((kind, net.step_count))
+
+    monkeypatch.setattr(nn, "adam_step", recorded)
     config = gan.GanTrainConfig(epochs=5, seed=6)
-    gan.train_gan(_minority(n=10, dim=3), config, hook=lambda kind, epoch: calls.append((kind, epoch)))
+    gan.train_gan(_minority(n=10, dim=3), config)
     expected = []
     for epoch in range(1, 6):
         expected += [("disc", epoch), ("gen", epoch)]
@@ -94,7 +117,7 @@ def test_training_deterministic_under_seed():
     config = gan.GanTrainConfig(epochs=30, seed=7)
     gen_a, log_a = gan.train_gan(_minority(n=25, dim=4), config)
     gen_b, log_b = gan.train_gan(_minority(n=25, dim=4), config)
-    for a, b in zip(gen_a.parameter_arrays(), gen_b.parameter_arrays()):
+    for a, b in zip(gen_a.network.parameter_arrays(), gen_b.network.parameter_arrays()):
         assert np.array_equal(a, b)
     assert log_a.gen_loss == log_b.gen_loss
     assert log_a.disc_acc == log_b.disc_acc
@@ -119,22 +142,33 @@ def test_train_precondition_errors():
 
 
 def test_generate_shape_and_open_interval():
-    generator = nn.init_state(gan.generator_spec(6), np.random.default_rng(9))
+    generator = fresh_generator(6, seed=9)
     samples = gan.generate(generator, 200, np.random.default_rng(10))
     assert samples.shape == (200, 6)
     assert np.all((samples > 0.0) & (samples < 1.0))
 
 
 def test_generate_deterministic_regardless_of_intervening_calls():
-    generator = nn.init_state(gan.generator_spec(4), np.random.default_rng(11))
+    generator = fresh_generator(4, seed=11)
     first = gan.generate(generator, 20, np.random.default_rng(12))
     gan.generate(generator, 7, np.random.default_rng(99))  # unrelated call
     second = gan.generate(generator, 20, np.random.default_rng(12))
     assert np.array_equal(first, second)
 
 
+@pytest.mark.parametrize("distribution", ["normal", "uniform"])
+def test_generate_samples_with_the_trained_noise(distribution):
+    config = gan.GanTrainConfig(epochs=3, seed=18, noise_distribution=distribution)
+    generator, _ = gan.train_gan(_minority(n=12, dim=3), config)
+    assert generator.noise_distribution == distribution
+    samples = gan.generate(generator, 6, np.random.default_rng(19))
+    noise = gan.sample_noise(6, np.random.default_rng(19), distribution=distribution)
+    expected, _ = nn.forward(generator.network, noise, mode="infer")
+    assert np.array_equal(samples, expected)
+
+
 def test_generate_rejects_zero_rows():
-    generator = nn.init_state(gan.generator_spec(4), np.random.default_rng(13))
+    generator = fresh_generator(4, seed=13)
     with pytest.raises(PreconditionError):
         gan.generate(generator, 0, np.random.default_rng(0))
 
@@ -160,7 +194,7 @@ def test_log_serialization_round_trip(tmp_path):
 
 
 def test_samples_serialization(tmp_path):
-    generator = nn.init_state(gan.generator_spec(3), np.random.default_rng(16))
+    generator = fresh_generator(3, seed=16)
     samples = gan.generate(generator, 5, np.random.default_rng(17))
     path = tmp_path / "samples.csv"
     gan.write_samples_csv(samples, path)

@@ -1,5 +1,7 @@
 """Dense-network engine: forward examples, losses, gradients, Adam."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,13 @@ from helpers import network_loss, random_network_case
 from oracles import finite_difference_gradients, max_relative_error, per_array_adam_step
 
 
-def _state_for(spec, seed=0):
-    return nn.init_state(spec, np.random.default_rng(seed))
+def _network_for(spec, seed=0, learning_rate=0.01):
+    return nn.init_network(spec, np.random.default_rng(seed), learning_rate)
+
+
+def _gradient(vector):
+    """A Gradients value holding only a flat vector, as adam_step reads it."""
+    return nn.Gradients(layers=[], flat=np.asarray(vector, dtype=np.float64))
 
 
 def test_layerspec_validation():
@@ -27,60 +34,55 @@ def test_layerspec_validation():
 
 
 def test_forward_identity_dense():
-    spec = [nn.dense(3, 3)]
-    state = _state_for(spec)
-    state.layers[0].weights = np.eye(3)
-    state.layers[0].bias = np.zeros(3)
-    out, _ = nn.forward(spec, state, [[1.0, 2.0, 3.0]], mode="infer")
+    net = _network_for([nn.dense(3, 3)])
+    net.layers[0].weights[...] = np.eye(3)
+    net.layers[0].bias[...] = 0.0
+    out, _ = nn.forward(net, [[1.0, 2.0, 3.0]], mode="infer")
     assert np.array_equal(out, [[1.0, 2.0, 3.0]])
 
 
 def test_forward_zero_input_isolates_bias():
-    spec = [nn.dense(4, 2)]
-    state = _state_for(spec, seed=3)
-    state.layers[0].bias = np.array([0.5, -1.5])
-    out, _ = nn.forward(spec, state, np.zeros((1, 4)), mode="infer")
+    net = _network_for([nn.dense(4, 2)], seed=3)
+    net.layers[0].bias[...] = [0.5, -1.5]
+    out, _ = nn.forward(net, np.zeros((1, 4)), mode="infer")
     assert np.array_equal(out[0], [0.5, -1.5])
 
 
 def test_forward_hand_product():
-    spec = [nn.dense(2, 1)]
-    state = _state_for(spec)
-    state.layers[0].weights = np.array([[2.0], [3.0]])
-    state.layers[0].bias = np.array([1.0])
-    out, _ = nn.forward(spec, state, [[1.0, 1.0]], mode="infer")
+    net = _network_for([nn.dense(2, 1)])
+    net.layers[0].weights[...] = [[2.0], [3.0]]
+    net.layers[0].bias[...] = 1.0
+    out, _ = nn.forward(net, [[1.0, 1.0]], mode="infer")
     assert out[0, 0] == 6.0
 
 
 def test_forward_shape_errors():
-    spec = [nn.dense(3, 2)]
-    state = _state_for(spec)
+    net = _network_for([nn.dense(3, 2)])
     with pytest.raises(ShapeError):
-        nn.forward(spec, state, np.zeros((2, 4)))
+        nn.forward(net, np.zeros((2, 4)))
     with pytest.raises(ShapeError):
-        nn.forward(spec, state, np.zeros(3))
+        nn.forward(net, np.zeros(3))
 
 
 def test_forward_dropout_needs_rng_in_train_mode():
-    spec = [nn.dense(2, 2), nn.dropout(2, 0.5)]
-    state = _state_for(spec)
+    net = _network_for([nn.dense(2, 2), nn.dropout(2, 0.5)])
     with pytest.raises(PreconditionError):
-        nn.forward(spec, state, np.zeros((1, 2)), mode="train")
+        nn.forward(net, np.zeros((1, 2)), mode="train")
     # infer mode never needs one
-    nn.forward(spec, state, np.zeros((1, 2)), mode="infer")
+    nn.forward(net, np.zeros((1, 2)), mode="infer")
 
 
 def test_activation_examples():
-    assert np.array_equal(nn.activation("relu", [-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
-    assert nn.activation("sigmoid", 0.0) == 0.5
-    assert np.allclose(nn.activation("softmax", [0.0, 0.0]), [0.5, 0.5])
+    assert np.array_equal(kernels.relu_forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+    assert kernels.sigmoid_forward(np.float64(0.0)) == 0.5
+    assert np.allclose(kernels.softmax_forward(np.zeros((1, 2))), [[0.5, 0.5]])
 
 
 def test_softmax_rows_sum_to_one_for_large_inputs():
     rng = np.random.default_rng(11)
     for _ in range(20):
         x = rng.uniform(-1e3, 1e3, size=(rng.integers(1, 8), rng.integers(2, 6)))
-        out = nn.activation("softmax", x)
+        out = kernels.softmax_forward(x)
         assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all(out >= 0.0)
 
@@ -107,12 +109,11 @@ def test_loss_categorical_ce_examples():
 
 def test_dropout_train_statistics():
     rate = 0.3
-    spec = [nn.dense(1, 1), nn.dropout(1, rate)]
-    state = _state_for(spec)
-    state.layers[0].weights = np.array([[1.0]])
+    net = _network_for([nn.dense(1, 1), nn.dropout(1, rate)])
+    net.layers[0].weights[...] = 1.0
     n = 100_000
     x = np.ones((n, 1))
-    out, _ = nn.forward(spec, state, x, mode="train", rng=np.random.default_rng(5))
+    out, _ = nn.forward(net, x, mode="train", rng=np.random.default_rng(5))
     dropped = np.sum(out == 0.0) / n
     sigma = np.sqrt(rate * (1.0 - rate) / n)
     assert abs(dropped - rate) <= 3.0 * sigma
@@ -121,32 +122,30 @@ def test_dropout_train_statistics():
 
 
 def test_dropout_infer_is_identity():
-    spec = [nn.dense(3, 3), nn.dropout(3, 0.4)]
-    state = _state_for(spec, seed=9)
+    net = _network_for([nn.dense(3, 3), nn.dropout(3, 0.4)], seed=9)
     x = np.random.default_rng(1).normal(size=(5, 3))
-    out, _ = nn.forward(spec, state, x, mode="infer")
-    dense_state = nn.NetworkState([state.layers[0]], state.flat)  # all of flat is the dense layer
-    dense_only, _ = nn.forward([spec[0]], dense_state, x, mode="infer")
+    out, _ = nn.forward(net, x, mode="infer")
+    dense_net = _network_for([nn.dense(3, 3)], seed=9)  # the same Glorot draw
+    assert np.array_equal(dense_net.flat, net.flat)
+    dense_only, _ = nn.forward(dense_net, x, mode="infer")
     assert np.array_equal(out, dense_only)
 
 
 def test_batchnorm_train_normalizes_batch():
-    spec = [nn.batchnorm(4)]
-    state = _state_for(spec)
+    net = _network_for([nn.batchnorm(4)])
     rng = np.random.default_rng(2)
     # variance ~100 so the epsilon in the denominator is negligible
     x = rng.normal(0.0, 10.0, size=(64, 4))
-    out, _ = nn.forward(spec, state, x, mode="train")
+    out, _ = nn.forward(net, x, mode="train")
     assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(out.var(axis=0) - 1.0) < 1e-6)
 
 
 def test_batchnorm_running_stats_and_infer():
-    spec = [nn.batchnorm(2)]
-    state = _state_for(spec)
-    params = state.layers[0]
+    net = _network_for([nn.batchnorm(2)])
+    params = net.layers[0]
     x = np.array([[1.0, 10.0], [3.0, 30.0]])
-    nn.forward(spec, state, x, mode="train")
+    nn.forward(net, x, mode="train")
     batch_mean = x.mean(axis=0)
     batch_var = x.var(axis=0)
     assert np.allclose(params.running_mean, 0.01 * batch_mean)
@@ -155,67 +154,80 @@ def test_batchnorm_running_stats_and_infer():
     frozen_mean = params.running_mean.copy()
     frozen_var = params.running_var.copy()
     y = np.array([[2.0, 20.0]])
-    out, _ = nn.forward(spec, state, y, mode="infer")
-    expected = (y - frozen_mean) / np.sqrt(frozen_var + params.epsilon)
+    out, _ = nn.forward(net, y, mode="infer")
+    expected = (y - frozen_mean) / np.sqrt(frozen_var + nn.BATCHNORM_EPS)
     assert np.allclose(out, expected)
     assert np.array_equal(params.running_mean, frozen_mean)  # infer never updates
 
 
 def test_backward_zero_loss_gives_zero_gradients():
-    spec = [nn.dense(1, 1), nn.sigmoid(1)]
-    state = _state_for(spec)
-    state.layers[0].weights = np.zeros((1, 1))
-    state.layers[0].bias = np.zeros(1)
-    out, cache = nn.forward(spec, state, [[1.0]], mode="train")
+    net = _network_for([nn.dense(1, 1), nn.sigmoid(1)])
+    net.flat[...] = 0.0
+    out, cache = nn.forward(net, [[1.0]], mode="train")
     assert out[0, 0] == 0.5
-    grads = nn.backward(spec, state, cache, "bce", [[0.5]])
+    grads = nn.backward(net, cache, [[0.5]])
     for g in grads.parameter_arrays():
         assert np.array_equal(g, np.zeros_like(g))
 
 
 def test_backward_fused_hand_value():
-    spec = [nn.dense(1, 1), nn.sigmoid(1)]
-    state = _state_for(spec)
-    state.layers[0].weights = np.zeros((1, 1))
-    state.layers[0].bias = np.zeros(1)
-    _, cache = nn.forward(spec, state, [[1.0]], mode="train")
-    grads = nn.backward(spec, state, cache, "bce", [[1.0]])
+    net = _network_for([nn.dense(1, 1), nn.sigmoid(1)])
+    net.layers[0].weights[...] = 0.0
+    net.layers[0].bias[...] = 0.0
+    _, cache = nn.forward(net, [[1.0]], mode="train")
+    grads = nn.backward(net, cache, [[1.0]])
     assert grads.layers[0].weights[0, 0] == -0.5
     assert grads.layers[0].bias[0] == -0.5
 
 
 def test_backward_requires_train_cache():
-    spec = [nn.dense(2, 1), nn.sigmoid(1)]
-    state = _state_for(spec)
-    _, cache = nn.forward(spec, state, np.zeros((1, 2)), mode="infer")
+    net = _network_for([nn.dense(2, 1), nn.sigmoid(1)])
+    _, cache = nn.forward(net, np.zeros((1, 2)), mode="infer")
     with pytest.raises(ConsistencyError):
-        nn.backward(spec, state, cache, "bce", [[1.0]])
+        nn.backward(net, cache, [[1.0]])
 
 
 def test_backward_loss_activation_mismatch():
-    spec = [nn.dense(2, 2), nn.softmax(2)]
-    state = _state_for(spec)
-    _, cache = nn.forward(spec, state, np.zeros((1, 2)), mode="train")
+    # the loss follows from the last layer; a relu ending has none
+    net = _network_for([nn.dense(2, 2), nn.relu(2)])
+    _, cache = nn.forward(net, np.zeros((1, 2)), mode="train")
     with pytest.raises(ConsistencyError):
-        nn.backward(spec, state, cache, "bce", [[1.0, 0.0]])
+        nn.backward(net, cache, [[1.0, 0.0]])
+    nn.backward_from(net, cache, [[1.0, 0.0]])  # an upstream gradient needs no loss
+
+
+def test_backward_rejects_cache_of_another_network():
+    spec = [nn.dense(2, 1), nn.sigmoid(1)]
+    net, twin = _network_for(spec), _network_for(spec)
+    _, cache = nn.forward(twin, np.zeros((1, 2)), mode="train")
+    with pytest.raises(ConsistencyError):
+        nn.backward(net, cache, [[1.0]])
+    with pytest.raises(ConsistencyError):
+        nn.backward_from(net, cache, [[1.0]])
+
+
+def test_parameter_fields_cannot_be_rebound():
+    net = _network_for([nn.dense(2, 2), nn.batchnorm(2)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers[0].weights = np.zeros((2, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers[1].running_mean = np.zeros(2)
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(123)
     for trial in range(8):
         loss_kind = "bce" if trial % 2 == 0 else "categorical_ce"
-        spec, state, x, targets = random_network_case(rng, loss_kind)
+        net, x, targets = random_network_case(rng, loss_kind)
         dropout_seed = trial
 
-        out, cache = nn.forward(
-            spec, state, x, mode="train", rng=np.random.default_rng(dropout_seed)
-        )
-        analytic = nn.backward(spec, state, cache, loss_kind, targets)
+        out, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(dropout_seed))
+        analytic = nn.backward(net, cache, targets)
 
         def loss():
-            return network_loss(spec, state, x, targets, loss_kind, dropout_seed)
+            return network_loss(net, x, targets, loss_kind, dropout_seed)
 
-        fd = finite_difference_gradients(loss, state.parameter_arrays())
+        fd = finite_difference_gradients(loss, net.parameter_arrays())
         err = max_relative_error(analytic.parameter_arrays(), fd)
         assert err < 1e-4, f"trial {trial} ({loss_kind}): rel err {err}"
 
@@ -231,93 +243,85 @@ def test_backward_from_matches_finite_differences():
         nn.dense(4, 2),
         nn.sigmoid(2),
     ]
-    state = nn.init_state(spec, rng)
+    net = nn.init_network(spec, rng, learning_rate=0.01)
     x = rng.normal(size=(5, 3))
     r = rng.normal(size=(5, 2))
 
-    _, cache = nn.forward(spec, state, x, mode="train")
-    analytic = nn.backward_from(spec, state, cache, r)
+    _, cache = nn.forward(net, x, mode="train")
+    analytic = nn.backward_from(net, cache, r)
 
     def loss():
-        out, _ = nn.forward(spec, state, x, mode="train")
+        out, _ = nn.forward(net, x, mode="train")
         return float(np.sum(out * r))
 
-    fd = finite_difference_gradients(loss, state.parameter_arrays())
+    fd = finite_difference_gradients(loss, net.parameter_arrays())
     assert max_relative_error(analytic.parameter_arrays(), fd) < 1e-4
 
 
 def test_backward_from_input_gradient():
     rng = np.random.default_rng(78)
-    spec = [nn.dense(2, 3), nn.sigmoid(3)]
-    state = nn.init_state(spec, rng)
+    net = nn.init_network([nn.dense(2, 3), nn.sigmoid(3)], rng, learning_rate=0.01)
     x = rng.normal(size=(4, 2))
     r = rng.normal(size=(4, 3))
-    _, cache = nn.forward(spec, state, x, mode="train")
-    analytic = nn.backward_from(spec, state, cache, r).wrt_input
+    _, cache = nn.forward(net, x, mode="train")
+    analytic = nn.backward_from(net, cache, r).wrt_input
 
     fd = np.zeros_like(x)
     h = 1e-5
     for i in range(x.shape[0]):
         for j in range(x.shape[1]):
             x[i, j] += h
-            plus = float(np.sum(nn.forward(spec, state, x, mode="train")[0] * r))
+            plus = float(np.sum(nn.forward(net, x, mode="train")[0] * r))
             x[i, j] -= 2 * h
-            minus = float(np.sum(nn.forward(spec, state, x, mode="train")[0] * r))
+            minus = float(np.sum(nn.forward(net, x, mode="train")[0] * r))
             x[i, j] += h
             fd[i, j] = (plus - minus) / (2 * h)
     assert max_relative_error([analytic], [fd]) < 1e-4
 
 
 def test_adam_zero_gradient_is_noop():
-    params = np.array([1.0, -2.0, 3.0])
-    opt = nn.init_adam(params, learning_rate=0.1)
-    nn.adam_step(params, np.zeros(3), opt)
-    assert np.array_equal(params, [1.0, -2.0, 3.0])
-    assert opt.step_count == 1
+    net = _network_for([nn.dense(2, 1)], learning_rate=0.1)
+    net.flat[:] = [1.0, -2.0, 3.0]
+    nn.adam_step(net, _gradient(np.zeros(3)))
+    assert np.array_equal(net.flat, [1.0, -2.0, 3.0])
+    assert net.step_count == 1
 
 
 def test_adam_first_step_closed_form():
     # bias correction makes the first step magnitude lr/(1 + eps)
-    params = np.zeros(1)
-    opt = nn.init_adam(params, learning_rate=0.1)
-    nn.adam_step(params, np.ones(1), opt)
-    assert abs(params[0] - (-0.1 / (1.0 + 1e-8))) < 1e-15
-    assert abs(params[0] + 0.1) < 1e-8
+    net = _network_for([nn.dense(1, 1)], learning_rate=0.1)
+    net.flat[:] = 0.0
+    nn.adam_step(net, _gradient(np.ones(2)))
+    for value in net.flat:
+        assert abs(value - (-0.1 / (1.0 + 1e-8))) < 1e-15
+        assert abs(value + 0.1) < 1e-8
 
 
 def test_adam_identical_parameters_stay_identical():
     rng = np.random.default_rng(4)
+    net = _network_for([nn.dense(1, 7)])  # 7 weights then 7 biases
     a = rng.normal(size=7)
-    params = np.concatenate([a, a])
-    opt = nn.init_adam(params, learning_rate=0.01)
+    net.flat[:] = np.concatenate([a, a])
     for _ in range(50):
         g = rng.normal(size=7)
-        nn.adam_step(params, np.concatenate([g, g]), opt)
-    assert np.array_equal(params[:7], params[7:])
-    assert opt.step_count == 50
+        nn.adam_step(net, _gradient(np.concatenate([g, g])))
+    assert np.array_equal(net.flat[:7], net.flat[7:])
+    assert net.step_count == 50
 
 
 def test_adam_shape_mismatch_error():
-    params = np.zeros(3)
-    opt = nn.init_adam(params, learning_rate=0.1)
+    net = _network_for([nn.dense(2, 1)], learning_rate=0.1)
     with pytest.raises(ShapeError):
-        nn.adam_step(params, np.zeros(4), opt)
-
-
-def test_adam_rejects_non_vector_input():
-    with pytest.raises(ShapeError):
-        nn.init_adam([np.zeros(3)], learning_rate=0.1)
-    with pytest.raises(ShapeError):
-        nn.init_adam(np.zeros((3, 1)), learning_rate=0.1)
+        nn.adam_step(net, _gradient(np.zeros(4)))
 
 
 def test_second_moment_stays_nonnegative():
     rng = np.random.default_rng(6)
-    params = rng.normal(size=5)
-    opt = nn.init_adam(params, learning_rate=0.05)
+    net = _network_for([nn.dense(4, 1)], learning_rate=0.05)
+    net.flat[:] = rng.normal(size=5)
     for _ in range(100):
-        nn.adam_step(params, rng.normal(size=5), opt)
-        assert np.all(opt.second_moment >= 0.0)
+        nn.adam_step(net, _gradient(rng.normal(size=5)))
+        assert np.all(net.second_moment >= 0.0)
 
 
 ADAM_SPECS = {
@@ -333,32 +337,30 @@ def _train_batch(spec, rng, rows=16):
     x = rng.normal(size=(rows, spec[0].input_dim))
     width = spec[-1].output_dim
     if spec[-1].kind == "softmax":
-        targets = np.eye(width)[rng.integers(0, width, size=rows)]
-        return x, targets, "categorical_ce"
-    return x, rng.integers(0, 2, size=(rows, width)).astype(np.float64), "bce"
+        return x, np.eye(width)[rng.integers(0, width, size=rows)]
+    return x, rng.integers(0, 2, size=(rows, width)).astype(np.float64)
 
 
 @pytest.mark.parametrize("name", list(ADAM_SPECS))
 def test_fused_adam_matches_per_array_loop_bit_for_bit(name):
     spec = ADAM_SPECS[name]
-    state = _state_for(spec, seed=21)
-    reference = [a.copy() for a in state.parameter_arrays()]
+    net = _network_for(spec, seed=21, learning_rate=0.01)
+    reference = [a.copy() for a in net.parameter_arrays()]
     ref_m = [np.zeros_like(a) for a in reference]
     ref_v = [np.zeros_like(a) for a in reference]
-    opt = nn.init_adam(state, learning_rate=0.01)
     rng = np.random.default_rng(22)
     for step in range(1, 51):
-        x, targets, loss_kind = _train_batch(spec, rng)
-        _, cache = nn.forward(spec, state, x, mode="train", rng=rng)
-        grads = nn.backward(spec, state, cache, loss_kind, targets)
+        x, targets = _train_batch(spec, rng)
+        _, cache = nn.forward(net, x, mode="train", rng=rng)
+        grads = nn.backward(net, cache, targets)
         per_array_adam_step(
             reference, [g.copy() for g in grads.parameter_arrays()], ref_m, ref_v, step, 0.01
         )
-        nn.adam_step(state, grads, opt)
-        for got, want in zip(state.parameter_arrays(), reference):
+        nn.adam_step(net, grads)
+        for got, want in zip(net.parameter_arrays(), reference):
             assert np.array_equal(got, want), f"{name}: parameters differ at step {step}"
-        assert np.array_equal(opt.first_moment, np.concatenate([m.ravel() for m in ref_m]))
-        assert np.array_equal(opt.second_moment, np.concatenate([v.ravel() for v in ref_v]))
+        assert np.array_equal(net.first_moment, np.concatenate([m.ravel() for m in ref_m]))
+        assert np.array_equal(net.second_moment, np.concatenate([v.ravel() for v in ref_v]))
 
 
 def _assert_views_tile(arrays, flat):
@@ -373,8 +375,8 @@ def _assert_views_tile(arrays, flat):
 @pytest.mark.parametrize("name", list(ADAM_SPECS))
 def test_parameters_and_gradients_are_views_into_one_vector(name):
     spec = ADAM_SPECS[name]
-    state = _state_for(spec, seed=3)
-    arrays = state.parameter_arrays()
+    net = _network_for(spec, seed=3)
+    arrays = net.parameter_arrays()
     expected = []  # spec order: dense (weights, bias), batchnorm (gamma, beta)
     for layer in spec:
         if layer.kind == "dense":
@@ -382,27 +384,26 @@ def test_parameters_and_gradients_are_views_into_one_vector(name):
         elif layer.kind == "batchnorm":
             expected += [(layer.input_dim,)] * 2
     assert [a.shape for a in arrays] == expected
-    _assert_views_tile(arrays, state.flat)
+    _assert_views_tile(arrays, net.flat)
     rng = np.random.default_rng(4)
-    x, targets, loss_kind = _train_batch(spec, rng)
-    _, cache = nn.forward(spec, state, x, mode="train", rng=rng)
-    grads = nn.backward(spec, state, cache, loss_kind, targets)
-    assert grads.flat.shape == state.flat.shape
+    x, targets = _train_batch(spec, rng)
+    _, cache = nn.forward(net, x, mode="train", rng=rng)
+    grads = nn.backward(net, cache, targets)
+    assert grads.flat.shape == net.flat.shape
     _assert_views_tile(grads.parameter_arrays(), grads.flat)
 
 
 def test_forward_after_adam_step_sees_updated_weights():
     spec = classifiers.mlp_spec(10)
-    state = _state_for(spec, seed=5)
-    x, targets, loss_kind = _train_batch(spec, np.random.default_rng(6))
-    before, cache = nn.forward(spec, state, x, mode="train")
-    grads = nn.backward(spec, state, cache, loss_kind, targets)
-    nn.adam_step(state, grads, nn.init_adam(state, learning_rate=0.1))
-    after, _ = nn.forward(spec, state, x, mode="train")
-    rebuilt = _state_for(spec, seed=99)
-    rebuilt.flat[:] = state.flat
+    net = _network_for(spec, seed=5, learning_rate=0.1)
+    x, targets = _train_batch(spec, np.random.default_rng(6))
+    before, cache = nn.forward(net, x, mode="train")
+    nn.adam_step(net, nn.backward(net, cache, targets))
+    after, _ = nn.forward(net, x, mode="train")
+    rebuilt = _network_for(spec, seed=99)
+    rebuilt.flat[:] = net.flat
     assert not np.array_equal(before, after)
-    assert np.array_equal(after, nn.forward(spec, rebuilt, x, mode="train")[0])
+    assert np.array_equal(after, nn.forward(rebuilt, x, mode="train")[0])
 
 
 def test_adam_step_is_one_kernel_call(monkeypatch):
@@ -415,36 +416,31 @@ def test_adam_step_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(kernels, "adam_update", counted)
     spec = classifiers.mlp_spec(10)
-    state = _state_for(spec)
-    x, targets, loss_kind = _train_batch(spec, np.random.default_rng(8))
-    _, cache = nn.forward(spec, state, x, mode="train")
-    nn.adam_step(state, nn.backward(spec, state, cache, loss_kind, targets),
-                 nn.init_adam(state, learning_rate=0.01))
-    assert calls == [state.flat.size]
+    net = _network_for(spec)
+    x, targets = _train_batch(spec, np.random.default_rng(8))
+    _, cache = nn.forward(net, x, mode="train")
+    nn.adam_step(net, nn.backward(net, cache, targets))
+    assert calls == [net.flat.size]
 
 
 def test_adam_step_rejects_gradient_of_another_size():
-    spec = classifiers.mlp_spec(10)
-    state = _state_for(spec)
-    opt = nn.init_adam(state, learning_rate=0.01)
+    net = _network_for(classifiers.mlp_spec(10))
     with pytest.raises(ShapeError):
-        nn.adam_step(state, np.zeros(state.flat.size - 1), opt)
-    assert opt.step_count == 0
+        nn.adam_step(net, _gradient(np.zeros(net.flat.size - 1)))
+    assert net.step_count == 0
 
 
 def test_training_is_deterministic_under_seed():
     def train_once():
         rng = np.random.default_rng(99)
         spec = [nn.dense(3, 4), nn.relu(4), nn.dense(4, 1), nn.sigmoid(1)]
-        state = nn.init_state(spec, rng)
-        opt = nn.init_adam(state, learning_rate=0.01)
+        net = nn.init_network(spec, rng, learning_rate=0.01)
         x = np.random.default_rng(1).normal(size=(8, 3))
         t = np.random.default_rng(2).integers(0, 2, size=(8, 1)).astype(np.float64)
         for _ in range(25):
-            _, cache = nn.forward(spec, state, x, mode="train")
-            grads = nn.backward(spec, state, cache, "bce", t)
-            nn.adam_step(state, grads, opt)
-        return state
+            _, cache = nn.forward(net, x, mode="train")
+            nn.adam_step(net, nn.backward(net, cache, t))
+        return net
 
     first = train_once().parameter_arrays()
     second = train_once().parameter_arrays()
@@ -455,9 +451,9 @@ def test_training_is_deterministic_under_seed():
 def test_all_values_finite_after_forward_backward():
     rng = np.random.default_rng(31)
     for trial in range(5):
-        spec, state, x, targets = random_network_case(rng, "bce")
-        out, cache = nn.forward(spec, state, x, mode="train", rng=np.random.default_rng(0))
-        grads = nn.backward(spec, state, cache, "bce", targets)
+        net, x, targets = random_network_case(rng, "bce")
+        out, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(0))
+        grads = nn.backward(net, cache, targets)
         assert np.all(np.isfinite(out))
         for g in grads.parameter_arrays():
             assert np.all(np.isfinite(g))
