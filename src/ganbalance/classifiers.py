@@ -155,9 +155,10 @@ def train_svm(
             yb = y[idx]
             violating = yb * (xb @ w + b) < 1.0
             grad_w = 2.0 * regularization * w
-            if violating.any():
-                grad_w = grad_w - (yb[violating] @ xb[violating]) / len(idx)
-                grad_b = -float(np.sum(yb[violating])) / len(idx)
+            y_violating = yb[violating]
+            if y_violating.size:
+                grad_w = grad_w - (y_violating @ xb[violating]) / len(idx)
+                grad_b = -float(np.add.reduce(y_violating)) / len(idx)
             else:
                 grad_b = 0.0
             w -= lr * grad_w

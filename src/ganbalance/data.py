@@ -59,6 +59,9 @@ class SplitSpec:
     test_positives: int = 158
 
     def __post_init__(self):
+        for name in ("train_size", "test_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} (--{name.replace('_', '-')}) must be >= 1")
         if self.train_positives > self.train_size:
             raise ValueError("train_positives exceeds train_size")
         if self.test_positives > self.test_size:

@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
         if not self.models or bad_models:
             raise ValueError(f"models must be a non-empty subset of {MODELS}")
+        if self.mlp_epochs is not None and self.mlp_epochs < 1:
+            raise ValueError("mlp_epochs (--mlp-epochs) must be >= 1")
 
 
 @dataclass

@@ -151,8 +151,8 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[Generator, Ga
         fake, gen_cache = nn.forward(gen, sample_noise(batch, rng, NOISE_DIM, dist), mode="train")
         disc_out, disc_cache = nn.forward(disc, fake, mode="train", rng=rng)
         gen_loss = nn.loss_bce(disc_out, real_labels)
-        disc_grads = nn.backward(disc, disc_cache, real_labels)
-        nn.adam_step(gen, nn.backward_from(gen, gen_cache, disc_grads.wrt_input))
+        to_fake = nn.input_gradient(disc, disc_cache, real_labels)
+        nn.adam_step(gen, nn.backward_from(gen, gen_cache, to_fake))
 
         if epoch % config.log_every == 0 or epoch == config.epochs:
             log.append(epoch, gen_loss, disc_loss, disc_acc)

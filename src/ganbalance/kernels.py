@@ -14,11 +14,13 @@ def dense_forward(X, W, b):
     return np.dot(X, W) + b
 
 
-def dense_backward(X, delta, W):
-    dW = np.dot(np.ascontiguousarray(X.T), delta)
-    db = np.sum(delta, axis=0)
-    dX = np.dot(delta, np.ascontiguousarray(W.T))
-    return dW, db, dX
+def dense_backward(X, delta, W, dW=None, db=None, input_grad=True):
+    """Write the weight and bias gradients into ``dW`` and ``db`` unless ``dW``
+    is None; return the input gradient, or None without ``input_grad``."""
+    if dW is not None:
+        np.dot(np.ascontiguousarray(X.T), delta, out=dW)
+        np.add.reduce(delta, axis=0, out=db)
+    return np.dot(delta, np.ascontiguousarray(W.T)) if input_grad else None
 
 
 def relu_forward(X):
@@ -30,7 +32,10 @@ def relu_backward(X, delta):
 
 
 def sigmoid_forward(X):
-    return 1.0 / (1.0 + np.exp(-X))
+    out = np.negative(X, out=np.empty_like(X))
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def sigmoid_backward(Y, delta):
@@ -58,28 +63,30 @@ def batchnorm_infer_forward(X, gamma, beta, running_mean, running_var, eps):
     return gamma * (X - running_mean) / np.sqrt(running_var + eps) + beta
 
 
-def batchnorm_backward(delta, xhat, gamma, var, eps):
+def batchnorm_backward(delta, xhat, gamma, var, eps, dgamma=None, dbeta=None):
+    """Input, gamma and beta gradients; the last two go into ``dgamma``/``dbeta`` if given."""
     n = delta.shape[0]
-    dgamma = np.sum(delta * xhat, axis=0)
-    dbeta = np.sum(delta, axis=0)
+    dgamma = np.add.reduce(delta * xhat, axis=0, out=dgamma)
+    dbeta = np.add.reduce(delta, axis=0, out=dbeta)
     inv_std = 1.0 / np.sqrt(var + eps)
-    dx = (gamma * inv_std) * (
-        delta - np.sum(delta, axis=0) / n - xhat * (np.sum(delta * xhat, axis=0) / n)
-    )
+    dx = (gamma * inv_std) * (delta - dbeta / n - xhat * (dgamma / n))
     return dx, dgamma, dbeta
 
 
 # --- Adam parameter update --------------------------------------------------
 
 
-def adam_update(param, grad, m, v, c1, c2, lr, beta1, beta2, eps):
+def adam_update(param, grad, m, v, work, work2, c1, c2, lr, beta1, beta2, eps):
     """In-place update of flat param/m/v; c1/c2 are the step's bias
-    corrections (1 - beta**t)."""
+    corrections (1 - beta**t).  ``work`` and ``work2`` are scratch vectors of
+    the same size, so the update allocates nothing."""
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(1.0 - beta1, grad, out=work)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    v += np.multiply(np.multiply(1.0 - beta2, grad, out=work), grad, out=work)
+    np.multiply(lr, np.divide(m, c1, out=work), out=work)
+    np.add(np.sqrt(np.divide(v, c2, out=work2), out=work2), eps, out=work2)
+    param -= np.divide(work, work2, out=work)
 
 
 # --- decision-tree split scan -----------------------------------------------

@@ -9,6 +9,7 @@ deterministic given the caller's seeded generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,31 @@ class BatchNormParams:
     running_var: np.ndarray
 
 
+@dataclass(frozen=True)
+class DenseGrads:
+    weights: np.ndarray
+    bias: np.ndarray
+
+
+@dataclass(frozen=True)
+class BatchNormGrads:
+    gamma: np.ndarray
+    beta: np.ndarray
+
+
+@dataclass
+class Gradients:
+    """Per-parameter gradients mirroring a Network, as views into ``flat``
+    laid out as the network's.  Each network owns one, which :func:`backward`
+    and :func:`backward_from` overwrite and return."""
+
+    layers: list
+    flat: np.ndarray
+
+    def parameter_arrays(self) -> list[np.ndarray]:
+        return _parameter_arrays(self.layers)
+
+
 def _parameter_arrays(entries) -> list[np.ndarray]:
     out = []
     for entry in entries:
@@ -113,8 +139,8 @@ class Network:
     ``layers`` holds one entry per spec layer (None for stateless layers).
     Every Adam-trained array (dense weights/bias, batchnorm gamma/beta) is a
     view into ``flat``, one float64 vector in ``parameter_arrays()`` order;
-    the Adam moments are vectors of the same size.  Build it with
-    :func:`init_network`, which validates the spec.
+    the Adam moments, gradient buffer and Adam scratch are the same size.
+    Build it with :func:`init_network`, which validates the spec.
     """
 
     spec: tuple
@@ -124,6 +150,8 @@ class Network:
     first_moment: np.ndarray
     second_moment: np.ndarray
     has_dropout: bool
+    grads: Gradients
+    adam_scratch: tuple
     step_count: int = 0
 
     def parameter_arrays(self) -> list[np.ndarray]:
@@ -135,15 +163,11 @@ def _trained_size(layer: LayerSpec) -> int:
     return sizes.get(layer.kind, 0)
 
 
-def _store(flat, end, first, second) -> tuple[np.ndarray, np.ndarray]:
-    """Copy ``first`` then ``second`` into the slice of ``flat`` ending at
-    ``end``; return the views now holding them.  Parameters and gradients
-    both get their layout here."""
-    mid = end - second.size
-    first_view = flat[mid - first.size : mid].reshape(first.shape)
-    first_view[...] = first
-    flat[mid:end] = second
-    return first_view, flat[mid:end]
+def _views(flat, end, shape, size) -> tuple[np.ndarray, np.ndarray]:
+    """The slice of ``flat`` ending at ``end`` as an array of ``shape`` then a
+    vector of ``size``: the layout of parameters and gradients alike."""
+    mid = end - size
+    return flat[mid - math.prod(shape) : mid].reshape(shape), flat[mid:end]
 
 
 def init_network(spec, rng: np.random.Generator, learning_rate: float) -> Network:
@@ -152,23 +176,30 @@ def init_network(spec, rng: np.random.Generator, learning_rate: float) -> Networ
     spec = tuple(spec)
     validate_spec(spec)
     flat = np.empty(sum(_trained_size(layer) for layer in spec))
+    grads = Gradients([], np.zeros_like(flat))
     layers, end = [], 0
     for layer in spec:
         end += _trained_size(layer)
         if layer.kind == "dense":
+            shape = (layer.input_dim, layer.output_dim)
+            weights, bias = _views(flat, end, shape, layer.output_dim)
             limit = np.sqrt(6.0 / (layer.input_dim + layer.output_dim))
-            weights = rng.uniform(-limit, limit, size=(layer.input_dim, layer.output_dim))
-            bias = np.zeros(layer.output_dim)
-            layers.append(DenseParams(*_store(flat, end, weights, bias)))
+            weights[...], bias[...] = rng.uniform(-limit, limit, size=shape), 0.0
+            layers.append(DenseParams(weights, bias))
+            grads.layers.append(DenseGrads(*_views(grads.flat, end, shape, layer.output_dim)))
         elif layer.kind == "batchnorm":
             d = layer.input_dim
-            gamma, beta = _store(flat, end, np.ones(d), np.zeros(d))
+            gamma, beta = _views(flat, end, (d,), d)
+            gamma[...], beta[...] = 1.0, 0.0
             layers.append(BatchNormParams(gamma, beta, np.zeros(d), np.ones(d)))
+            grads.layers.append(BatchNormGrads(*_views(grads.flat, end, (d,), d)))
         else:
             layers.append(None)
+            grads.layers.append(None)
     has_dropout = any(layer.kind == "dropout" for layer in spec)
     return Network(spec, tuple(layers), flat, learning_rate,
-                   np.zeros_like(flat), np.zeros_like(flat), has_dropout)
+                   np.zeros_like(flat), np.zeros_like(flat), has_dropout,
+                   grads, (np.empty_like(flat), np.empty_like(flat)))
 
 
 @dataclass
@@ -268,33 +299,6 @@ def loss_categorical_ce(predicted, target) -> float:
     return float(np.mean(-np.sum(t * np.log(p), axis=1)))
 
 
-@dataclass
-class DenseGrads:
-    weights: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class BatchNormGrads:
-    gamma: np.ndarray
-    beta: np.ndarray
-
-
-@dataclass
-class Gradients:
-    """Per-parameter gradients mirroring a Network, plus d(loss)/d(input).
-
-    The gradient arrays are views into ``flat``, laid out as the network's.
-    """
-
-    layers: list
-    flat: np.ndarray
-    wrt_input: np.ndarray | None = None
-
-    def parameter_arrays(self) -> list[np.ndarray]:
-        return _parameter_arrays(self.layers)
-
-
 def _softmax_backward(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
     inner = np.sum(delta * y, axis=1, keepdims=True)
     return y * (delta - inner)
@@ -307,19 +311,20 @@ def _check_cache(net: Network, cache: ForwardCache) -> None:
         raise ConsistencyError("cache was made by another network's forward")
 
 
-def _walk_backward(net: Network, cache: ForwardCache, delta, start) -> Gradients:
-    flat = np.empty_like(net.flat)
-    end = flat.size  # layers run last to first, so each one's slice ends here
-    grads = [None] * len(net.spec)
+def _walk_backward(net: Network, cache: ForwardCache, delta, start, grads):
+    """Backpropagate ``delta`` from layer ``start`` to the input.  With
+    ``grads``, write every parameter gradient into it, skip layer 0's input
+    gradient and return it; with None, return only the input gradient."""
     for i in range(start, -1, -1):
         layer = net.spec[i]
         entry = cache.layer_data[i]
+        out = None if grads is None else grads.layers[i]
         if layer.kind == "dense":
-            d_w, d_b, delta = kernels.dense_backward(
-                entry[1], np.ascontiguousarray(delta), net.layers[i].weights
+            d_w, d_b = (None, None) if out is None else (out.weights, out.bias)
+            delta = kernels.dense_backward(
+                entry[1], np.ascontiguousarray(delta), net.layers[i].weights,
+                d_w, d_b, out is None or i > 0,
             )
-            grads[i] = DenseGrads(*_store(flat, end, d_w, d_b))
-            end -= d_w.size + d_b.size
         elif layer.kind == "relu":
             delta = kernels.relu_backward(entry[1], delta)
         elif layer.kind == "sigmoid":
@@ -327,24 +332,18 @@ def _walk_backward(net: Network, cache: ForwardCache, delta, start) -> Gradients
         elif layer.kind == "softmax":
             delta = _softmax_backward(entry[1], delta)
         elif layer.kind == "batchnorm":
-            delta, d_gamma, d_beta = kernels.batchnorm_backward(
+            d_gamma, d_beta = (None, None) if out is None else (out.gamma, out.beta)
+            delta, _, _ = kernels.batchnorm_backward(
                 np.ascontiguousarray(delta), entry[1], net.layers[i].gamma, entry[2],
-                BATCHNORM_EPS,
+                BATCHNORM_EPS, d_gamma, d_beta,
             )
-            grads[i] = BatchNormGrads(*_store(flat, end, d_gamma, d_beta))
-            end -= d_gamma.size + d_beta.size
         elif layer.kind == "dropout":
             delta = delta * entry[1]
-    return Gradients(layers=grads, flat=flat, wrt_input=delta)
+    return delta if grads is None else grads
 
 
-def backward(net: Network, cache: ForwardCache, targets) -> Gradients:
-    """Gradients of the mean loss for every parameter.
-
-    The loss follows from the last layer: binary cross-entropy after a
-    sigmoid, categorical cross-entropy after a softmax.  Either pair is folded
-    into the numerically stable (prediction - target) form.
-    """
+def _loss_delta(net: Network, cache: ForwardCache, targets) -> np.ndarray:
+    """d(mean loss)/d(input of the last layer), as :func:`backward` defines the loss."""
     _check_cache(net, cache)
     t = np.asarray(targets, dtype=np.float64)
     p = cache.output
@@ -352,23 +351,41 @@ def backward(net: Network, cache: ForwardCache, targets) -> Gradients:
         raise ShapeError(f"prediction shape {p.shape} != target shape {t.shape}")
     last = net.spec[-1].kind
     if last == "sigmoid":
-        delta = (p - t) / p.size
-    elif last == "softmax":
-        delta = (p - t) / p.shape[0]
-    else:
-        raise ConsistencyError(f"backward needs a final sigmoid or softmax layer, not {last!r}")
-    return _walk_backward(net, cache, delta, len(net.spec) - 2)
+        return (p - t) / p.size
+    if last == "softmax":
+        return (p - t) / p.shape[0]
+    raise ConsistencyError(f"backward needs a final sigmoid or softmax layer, not {last!r}")
+
+
+def backward(net: Network, cache: ForwardCache, targets) -> Gradients:
+    """Gradients of the mean loss for every parameter.
+
+    The loss follows from the last layer: binary cross-entropy after a
+    sigmoid, categorical cross-entropy after a softmax.  Either pair is folded
+    into the numerically stable (prediction - target) form.  Returns
+    ``net.grads``, overwritten in place: the result is valid until the next
+    :func:`backward` or :func:`backward_from` on ``net``.
+    """
+    return _walk_backward(net, cache, _loss_delta(net, cache, targets), len(net.spec) - 2,
+                          net.grads)
 
 
 def backward_from(net: Network, cache: ForwardCache, grad_output) -> Gradients:
-    """Backpropagate an upstream gradient (chains networks, e.g. GAN G<-D)."""
+    """Backpropagate an upstream gradient (chains networks, e.g. GAN G<-D);
+    returns ``net.grads`` as :func:`backward` does."""
     _check_cache(net, cache)
     delta = np.asarray(grad_output, dtype=np.float64)
     if delta.shape != cache.output.shape:
         raise ShapeError(
             f"upstream gradient shape {delta.shape} != output shape {cache.output.shape}"
         )
-    return _walk_backward(net, cache, delta, len(net.spec) - 1)
+    return _walk_backward(net, cache, delta, len(net.spec) - 1, net.grads)
+
+
+def input_gradient(net: Network, cache: ForwardCache, targets) -> np.ndarray:
+    """d(mean loss)/d(input), the loss as in :func:`backward`.  Computes no
+    parameter gradient and leaves ``net.grads`` untouched."""
+    return _walk_backward(net, cache, _loss_delta(net, cache, targets), len(net.spec) - 2, None)
 
 
 def adam_step(net: Network, grads: Gradients) -> None:
@@ -382,6 +399,6 @@ def adam_step(net: Network, grads: Gradients) -> None:
     c1 = 1.0 - ADAM_BETA1**net.step_count
     c2 = 1.0 - ADAM_BETA2**net.step_count
     kernels.adam_update(
-        net.flat, grads.flat, net.first_moment, net.second_moment,
+        net.flat, grads.flat, net.first_moment, net.second_moment, *net.adam_scratch,
         c1, c2, net.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
     )

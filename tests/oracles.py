@@ -5,7 +5,8 @@ central finite differences, AUC from explicit pair counting, tree splits
 from exhaustive enumeration, the split scan from a plain loop, Adam from one
 update per parameter array, CSV cells from one ``float()`` call each and
 trees from an argsort at every node, so a shared bug cannot hide in both
-routes.
+routes.  The backward walk and the SVM loop are also kept here in their
+allocating form, to pin the in-place library versions to them bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +71,95 @@ def per_array_adam_step(params, grads, first_moments, second_moments, step_count
         v *= beta2
         v += (1.0 - beta2) * g * g
         p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + epsilon)
+
+
+def reference_loss_delta(last_kind, predicted, targets):
+    """(prediction - target) over the element count after a sigmoid, over
+    the row count after a softmax."""
+    p = np.asarray(predicted, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    return (p - t) / (p.size if last_kind == "sigmoid" else p.shape[0])
+
+
+def _copy_into(flat, end, first, second):
+    """Copy first then second into the slice of flat ending at end; return
+    where that slice starts."""
+    mid = end - second.size
+    flat[mid - first.size : mid] = first.ravel()
+    flat[mid:end] = second
+    return mid - first.size
+
+
+def reference_backward(net, cache, delta, start, bn_eps=1e-5):
+    """The backward walk with every array newly allocated.
+
+    Walks from layer ``start`` down to the input of a train-mode forward's
+    cache, copies each layer's gradients into a new flat vector laid out as
+    ``net.flat``, and computes layer 0's input gradient too.  Each
+    operation is written out in the library's order.  Returns (flat
+    gradient, d/d(input)).
+    """
+    flat = np.empty_like(net.flat)
+    end = flat.size
+    for i in range(start, -1, -1):
+        kind = net.spec[i].kind
+        entry = cache.layer_data[i]
+        if kind == "dense":
+            delta = np.ascontiguousarray(delta)
+            d_w = np.dot(np.ascontiguousarray(entry[1].T), delta)
+            d_b = np.sum(delta, axis=0)
+            delta = np.dot(delta, np.ascontiguousarray(net.layers[i].weights.T))
+            end = _copy_into(flat, end, d_w, d_b)
+        elif kind == "relu":
+            delta = np.where(entry[1] > 0.0, delta, 0.0)
+        elif kind == "sigmoid":
+            delta = delta * entry[1] * (1.0 - entry[1])
+        elif kind == "softmax":
+            y = entry[1]
+            delta = y * (delta - np.sum(delta * y, axis=1, keepdims=True))
+        elif kind == "batchnorm":
+            delta = np.ascontiguousarray(delta)
+            xhat, var, gamma = entry[1], entry[2], net.layers[i].gamma
+            n = delta.shape[0]
+            d_gamma = np.sum(delta * xhat, axis=0)
+            d_beta = np.sum(delta, axis=0)
+            inv_std = 1.0 / np.sqrt(var + bn_eps)
+            delta = (gamma * inv_std) * (
+                delta - np.sum(delta, axis=0) / n - xhat * (np.sum(delta * xhat, axis=0) / n)
+            )
+            end = _copy_into(flat, end, d_gamma, d_beta)
+        elif kind == "dropout":
+            delta = delta * entry[1]
+    return flat, delta
+
+
+def reference_svm(features, labels, epochs, batch_size, learning_rate, regularization, seed):
+    """Minibatch subgradient descent on lambda*|w|^2 + mean hinge, in the
+    library's operation and rng order.  Returns (w, b, the number of
+    minibatches that had no margin violator)."""
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    y = np.where(labels == 1, 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    quiet = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), batch_size):
+            idx = order[start : start + batch_size]
+            xb = x[idx]
+            yb = y[idx]
+            violating = yb * (xb @ w + b) < 1.0
+            grad_w = 2.0 * regularization * w
+            if violating.any():
+                grad_w = grad_w - (yb[violating] @ xb[violating]) / len(idx)
+                grad_b = -float(np.sum(yb[violating])) / len(idx)
+            else:
+                grad_b = 0.0
+                quiet += 1
+            w -= learning_rate * grad_w
+            b -= learning_rate * grad_b
+    return w, b, quiet
 
 
 def pair_count_auc(y_true, scores) -> float:

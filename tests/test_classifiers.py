@@ -6,7 +6,8 @@ import pytest
 from ganbalance import classifiers as cl
 from ganbalance.data import Dataset
 from ganbalance.errors import DegenerateDataError, ShapeError
-from oracles import brute_force_best_split, per_node_argsort_tree
+from helpers import gaussian_blobs
+from oracles import brute_force_best_split, per_node_argsort_tree, reference_svm
 
 
 def _separable_1d(n=60, margin=1.0, seed=0):
@@ -76,6 +77,21 @@ def test_svm_deterministic():
     a = cl.train_svm(ds, cl.TrainConfig(seed=11))
     b = cl.train_svm(ds, cl.TrainConfig(seed=11))
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+
+@pytest.mark.parametrize("dim", [10, 30])
+@pytest.mark.parametrize("learning_rate", [cl.SVM_LR, 0.5])
+def test_svm_matches_reference_loop_bit_for_bit(dim, learning_rate):
+    ds = gaussian_blobs(np.random.default_rng(dim), n_pos=60, n_neg=340, dim=dim,
+                        pos_mean=0.7, neg_mean=0.3, sd=0.08)
+    config = cl.TrainConfig(epochs=40, learning_rate=learning_rate, seed=5)
+    model = cl.train_svm(ds, config)
+    w, b, quiet = reference_svm(ds.features, ds.labels, 40, config.batch_size,
+                                learning_rate, cl.SVM_LAMBDA, 5)
+    assert np.array_equal(model.weights, w)
+    assert model.bias == b
+    if learning_rate > cl.SVM_LR:
+        assert quiet > 0  # the branch without margin violators ran too
 
 
 def test_svm_single_class_error():

@@ -134,6 +134,31 @@ def test_invalid_gan_setting_exits_two(corpus, tmp_path, capsys, flag):
     assert not (tmp_path / "generated_samples.csv").exists()
 
 
+def test_mlp_epochs_zero_exits_two_before_training(corpus, tmp_path, capsys):
+    code = main(
+        ["run", "--data", str(corpus), "--out", str(tmp_path), "--modes", "raw",
+         "--models", "dt,mlp", "--mlp-epochs", "0", *SPLIT_FLAGS]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--mlp-epochs" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_empty_split_exits_two_naming_the_flag(corpus, tmp_path, capsys, side):
+    flags = dict(zip(SPLIT_FLAGS[::2], SPLIT_FLAGS[1::2]))
+    flags.update({f"--{side}-size": "0", f"--{side}-pos": "0"})
+    code = main(
+        ["run", "--data", str(corpus), "--out", str(tmp_path), "--modes", "raw",
+         "--models", "dt", *(item for pair in flags.items() for item in pair)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"--{side}-size" in captured.err and "must be >= 1" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _split(pos_train, pos_test, neg_train, neg_test):
     return (neg_train + pos_train, neg_test + pos_test, pos_train, pos_test)
 

@@ -38,3 +38,10 @@ def test_split_scan_prefers_lowest_threshold_on_ties():
     score, thr, found = K.split_scan(vals, labs, 1)
     assert found
     assert thr == 0.5
+
+
+def test_sigmoid_forward_matches_the_allocating_form_bit_for_bit():
+    x = np.concatenate([rng.normal(0.0, 4.0, size=500), [-800.0, -40.0, 0.0, 40.0, 800.0]])
+    with np.errstate(over="ignore"):  # exp(800) is inf, and sigmoid then 0
+        for values in (x, x.reshape(5, 101)):
+            assert np.array_equal(K.sigmoid_forward(values), 1.0 / (1.0 + np.exp(-values)))

@@ -8,7 +8,13 @@ import pytest
 from ganbalance import classifiers, gan, kernels, nn
 from ganbalance.errors import ConsistencyError, PreconditionError, ShapeError
 from helpers import network_loss, random_network_case
-from oracles import finite_difference_gradients, max_relative_error, per_array_adam_step
+from oracles import (
+    finite_difference_gradients,
+    max_relative_error,
+    per_array_adam_step,
+    reference_backward,
+    reference_loss_delta,
+)
 
 
 def _network_for(spec, seed=0, learning_rate=0.01):
@@ -258,25 +264,46 @@ def test_backward_from_matches_finite_differences():
     assert max_relative_error(analytic.parameter_arrays(), fd) < 1e-4
 
 
-def test_backward_from_input_gradient():
+def test_input_gradient_matches_finite_differences():
+    # d(mean bce)/d(input) through dropout, as the generator update reads it
+    # from the discriminator; the dropout mask is fixed by its seed
     rng = np.random.default_rng(78)
-    net = nn.init_network([nn.dense(2, 3), nn.sigmoid(3)], rng, learning_rate=0.01)
+    spec = [nn.dense(2, 3), nn.sigmoid(3), nn.dropout(3, 0.25), nn.dense(3, 2), nn.sigmoid(2)]
+    net = nn.init_network(spec, rng, learning_rate=0.01)
     x = rng.normal(size=(4, 2))
-    r = rng.normal(size=(4, 3))
-    _, cache = nn.forward(net, x, mode="train")
-    analytic = nn.backward_from(net, cache, r).wrt_input
+    targets = rng.integers(0, 2, size=(4, 2)).astype(np.float64)
+    _, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(5))
+    analytic = nn.input_gradient(net, cache, targets)
 
-    fd = np.zeros_like(x)
-    h = 1e-5
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            x[i, j] += h
-            plus = float(np.sum(nn.forward(net, x, mode="train")[0] * r))
-            x[i, j] -= 2 * h
-            minus = float(np.sum(nn.forward(net, x, mode="train")[0] * r))
-            x[i, j] += h
-            fd[i, j] = (plus - minus) / (2 * h)
+    [fd] = finite_difference_gradients(
+        lambda: network_loss(net, x, targets, "bce", dropout_seed=5), [x]
+    )
     assert max_relative_error([analytic], [fd]) < 1e-4
+
+
+def test_input_gradient_leaves_the_gradient_buffer_untouched():
+    spec = gan.discriminator_spec(10)
+    net = _network_for(spec, seed=12)
+    rng = np.random.default_rng(13)
+    x, targets = _train_batch(spec, rng)
+    _, cache = nn.forward(net, x, mode="train", rng=rng)
+    before = nn.backward(net, cache, targets).flat.copy()
+    nn.input_gradient(net, cache, 1.0 - targets)
+    assert np.array_equal(net.grads.flat, before)
+
+
+def test_backward_returns_the_network_s_own_buffer():
+    spec = classifiers.mlp_spec(10)
+    net = _network_for(spec, seed=14)
+    rng = np.random.default_rng(15)
+    returned, values = [], []
+    for _ in range(2):
+        x, targets = _train_batch(spec, rng)
+        _, cache = nn.forward(net, x, mode="train")
+        returned.append(nn.backward(net, cache, targets))
+        values.append(returned[-1].flat.copy())
+    assert returned[0] is returned[1] is net.grads
+    assert not np.array_equal(values[0], values[1])  # overwritten in place
 
 
 def test_adam_zero_gradient_is_noop():
@@ -363,6 +390,79 @@ def test_fused_adam_matches_per_array_loop_bit_for_bit(name):
         assert np.array_equal(net.second_moment, np.concatenate([v.ravel() for v in ref_v]))
 
 
+LEAN_STEPS = 300
+
+
+def _reference_update(ref, step, cache, delta, start):
+    """One update of ``ref`` by the allocating backward walk from layer
+    ``start`` and the per-array Adam loop."""
+    flat_grad, _ = reference_backward(ref, cache, delta, start)
+    per_array_adam_step([ref.flat], [flat_grad], [ref.first_moment], [ref.second_moment],
+                        step, ref.learning_rate)
+
+
+def _loss_delta(net, cache, targets):
+    return reference_loss_delta(net.spec[-1].kind, cache.output, targets)
+
+
+def _assert_same_state(net, ref, what):
+    for name in ("flat", "first_moment", "second_moment"):
+        assert np.array_equal(getattr(net, name), getattr(ref, name)), f"{what}: {name} differs"
+
+
+@pytest.mark.parametrize("name", ["logreg", "mlp"])
+def test_lean_step_matches_allocating_reference_bit_for_bit(name):
+    spec = ADAM_SPECS[name]
+    net, ref = _network_for(spec, seed=31), _network_for(spec, seed=31)
+    rng = np.random.default_rng(32)
+    for step in range(1, LEAN_STEPS + 1):
+        x, targets = _train_batch(spec, rng, rows=64)
+        _, cache = nn.forward(net, x, mode="train")
+        nn.adam_step(net, nn.backward(net, cache, targets))
+        _, cache = nn.forward(ref, x, mode="train")
+        _reference_update(ref, step, cache, _loss_delta(ref, cache, targets), len(spec) - 2)
+    _assert_same_state(net, ref, name)
+
+
+def _gan_epoch(gen, disc, real, noise, seeds, epoch=None):
+    """train_gan's epoch on given rows, noise and dropout seeds; with an
+    ``epoch`` number the updates run through the allocating reference."""
+    real_labels = np.ones((real.shape[0], 1))
+    disc_targets = np.vstack([real_labels, np.zeros_like(real_labels)])
+    fake, _ = nn.forward(gen, noise[0], mode="train")
+    _, cache = nn.forward(disc, np.vstack([real, fake]), mode="train",
+                          rng=np.random.default_rng(seeds[0]))
+    if epoch is None:
+        nn.adam_step(disc, nn.backward(disc, cache, disc_targets))
+    else:
+        _reference_update(disc, epoch, cache, _loss_delta(disc, cache, disc_targets),
+                          len(disc.spec) - 2)
+    fake, gen_cache = nn.forward(gen, noise[1], mode="train")
+    _, cache = nn.forward(disc, fake, mode="train", rng=np.random.default_rng(seeds[1]))
+    if epoch is None:
+        to_fake = nn.input_gradient(disc, cache, real_labels)
+        nn.adam_step(gen, nn.backward_from(gen, gen_cache, to_fake))
+    else:
+        _, to_fake = reference_backward(disc, cache, _loss_delta(disc, cache, real_labels),
+                                        len(disc.spec) - 2)
+        _reference_update(gen, epoch, gen_cache, to_fake, len(gen.spec) - 1)
+
+
+def test_lean_gan_epochs_match_allocating_reference_bit_for_bit():
+    dim, batch = 10, 64
+    gen, ref_gen = (_network_for(gan.generator_spec(dim), 41, 1e-3) for _ in range(2))
+    disc, ref_disc = (_network_for(gan.discriminator_spec(dim), 42, 1e-3) for _ in range(2))
+    rng = np.random.default_rng(43)
+    for epoch in range(1, LEAN_STEPS + 1):
+        real = rng.random((batch, dim))
+        noise = rng.standard_normal((2, batch, gan.NOISE_DIM))
+        seeds = rng.integers(2**32, size=2)
+        _gan_epoch(gen, disc, real, noise, seeds)
+        _gan_epoch(ref_gen, ref_disc, real, noise, seeds, epoch=epoch)
+    _assert_same_state(disc, ref_disc, "discriminator")
+    _assert_same_state(gen, ref_gen, "generator")
+
+
 def _assert_views_tile(arrays, flat):
     """Each array is a view into flat, in order, covering every element once."""
     assert all(np.shares_memory(a, flat) for a in arrays)
@@ -389,6 +489,7 @@ def test_parameters_and_gradients_are_views_into_one_vector(name):
     x, targets = _train_batch(spec, rng)
     _, cache = nn.forward(net, x, mode="train", rng=rng)
     grads = nn.backward(net, cache, targets)
+    assert grads is net.grads
     assert grads.flat.shape == net.flat.shape
     _assert_views_tile(grads.parameter_arrays(), grads.flat)
 
