@@ -26,21 +26,10 @@ PROVENANCE_GENERATED = "generated"
 
 
 @dataclass
-class AugmentedDataset:
-    features: np.ndarray
-    labels: np.ndarray
+class AugmentedDataset(Dataset):
+    """A balanced training set whose rows also carry their provenance."""
+
     provenance: np.ndarray  # per-row tag: original | duplicated | generated
-
-    @property
-    def positive_count(self) -> int:
-        return int(np.sum(self.labels == 1))
-
-    @property
-    def negative_count(self) -> int:
-        return int(np.sum(self.labels == 0))
-
-    def as_dataset(self) -> Dataset:
-        return Dataset(self.features, self.labels)
 
 
 def isolate_positives(train: Dataset) -> Dataset:

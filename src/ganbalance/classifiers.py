@@ -3,8 +3,9 @@ decision tree, and a small MLP.
 
 All four expose the same scoring interface: predict_score returns a class-1
 score in [0,1] per row (sigmoid of the margin for the linear models, leaf
-class-1 fraction for the tree, softmax probability for the MLP), and
-predict_label thresholds it with a strict ``score > threshold`` rule.
+class-1 fraction for the tree, softmax probability for the MLP).  The
+pipeline labels a row 1 iff its score is strictly above 0.5 (see
+``experiment._train_one``).
 Iterative trainers shuffle minibatches with a seeded generator each epoch,
 so equal seeds give bit-identical models.
 """
@@ -279,11 +280,6 @@ def predict_score(model, X) -> np.ndarray:
         probs, _ = nn.forward(model.network, x, mode="infer")
         return probs[:, 1]
     raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def predict_label(model, X, threshold: float = 0.5) -> np.ndarray:
-    """1 iff score strictly exceeds the threshold (exact ties go to 0)."""
-    return (predict_score(model, X) > threshold).astype(np.int64)
 
 
 def _tree_to_dict(node: TreeNode) -> dict:

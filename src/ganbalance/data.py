@@ -1,4 +1,5 @@
-"""CSV ingestion, deduplication, stratified splitting, and feature scaling.
+"""CSV ingestion, deduplication, stratified splitting, feature scaling, and
+the one row writer behind every LF-terminated output CSV.
 
 The preprocessing order is fixed: load -> dedup -> stratified split -> fit
 standard scaler on train and apply to both sides -> fit min-max scaler on the
@@ -44,9 +45,6 @@ class Dataset:
     @property
     def negative_count(self) -> int:
         return int(np.sum(self.labels == 0))
-
-    def copy(self) -> Dataset:
-        return Dataset(self.features.copy(), self.labels.copy())
 
 
 @dataclass(frozen=True)
@@ -303,18 +301,21 @@ def apply_minmax(params: MinMaxParams, data: Dataset) -> Dataset:
     return Dataset(scaled, data.labels.copy())
 
 
-def scale_train_test(train: Dataset, test: Dataset):
-    """Fit both scalers on train, apply to both sides.
-
-    Returns (train_scaled, test_scaled, standard_params, minmax_params).
-    """
+def scale_train_test(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    """Fit both scalers on train, apply them to both sides; returns
+    (train_scaled, test_scaled)."""
     std_params = fit_standard(train)
     train_std = apply_standard(std_params, train)
     test_std = apply_standard(std_params, test)
     mm_params = fit_minmax(train_std)
-    return (
-        apply_minmax(mm_params, train_std),
-        apply_minmax(mm_params, test_std),
-        std_params,
-        mm_params,
-    )
+    return apply_minmax(mm_params, train_std), apply_minmax(mm_params, test_std)
+
+
+def write_csv(path, header, row_format: str, rows) -> None:
+    """Write the comma-joined ``header`` names, then ``row_format % tuple(row)``
+    for each row; ``row_format`` ends in its own newline.  Rows are formatted
+    one at a time, so an array argument is never copied whole."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(row_format % tuple(row))

@@ -83,21 +83,24 @@ def derive_seed(master: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _check_writable(out_dir: Path) -> None:
+def _prepare_out_dir(config: ExperimentConfig) -> Path:
+    """Create the output directory and prove it writable before any work."""
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     probe = out_dir / ".write_probe"
     try:
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
         raise OSError(f"output directory {out_dir} is not writable: {exc}") from exc
+    return out_dir
 
 
 def _load_split_scale(config: ExperimentConfig):
     table = data.dedup(data.load_csv(config.data_path, config.label_column))
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
     train_raw, test_raw = data.stratified_split(table, config.split, split_rng)
-    train_scaled, test_scaled, _, _ = data.scale_train_test(train_raw, test_raw)
-    return train_scaled, test_scaled
+    return data.scale_train_test(train_raw, test_raw)
 
 
 def _train_generator(config: ExperimentConfig, train_scaled):
@@ -142,11 +145,15 @@ def run(config: ExperimentConfig) -> list:
 
     Per-pair failures do not abort the rest: the failed rows carry an error
     marker in metrics.csv and a RunFailureError is raised after everything
-    has been written.
+    has been written.  A test split without both classes cannot be scored,
+    so it is refused before anything is loaded or written.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _check_writable(out_dir)
+    split = config.split
+    if not 1 <= split.test_positives < split.test_size:
+        raise PreconditionError(
+            f"--test-pos ({split.test_positives}) must be at least 1 and below --test-size "
+            f"({split.test_size}): a test split of one class cannot be scored")
+    out_dir = _prepare_out_dir(config)
     train_scaled, test_scaled = _load_split_scale(config)
 
     modes = [m for m in MODES if m in config.modes]
@@ -159,15 +166,12 @@ def run(config: ExperimentConfig) -> list:
         try:
             if mode == "raw":
                 train_set = train_scaled
-                augmented = None
             elif mode == "oversample":
                 rng = np.random.default_rng(derive_seed(config.seed, "oversample"))
-                augmented = augment.random_oversample(train_scaled, rng)
-                train_set = augmented.as_dataset()
+                train_set = augment.random_oversample(train_scaled, rng)
             else:
                 generator, gan_log, rng = _train_generator(config, train_scaled)
-                augmented = augment.gan_augment(train_scaled, generator, rng)
-                train_set = augmented.as_dataset()
+                train_set = augment.gan_augment(train_scaled, generator, rng)
         except GanBalanceError as exc:
             tag = f"{type(exc).__name__}: {exc}"
             results.extend(
@@ -175,9 +179,9 @@ def run(config: ExperimentConfig) -> list:
             )
             continue
 
-        if config.dump_augmented and augmented is not None:
+        if config.dump_augmented and mode != "raw":
             suffix = "" if len(augmented_modes) == 1 else f"_{mode}"
-            _write_augmented_csv(augmented, out_dir / f"train_augmented{suffix}.csv")
+            _write_augmented_csv(train_set, out_dir / f"train_augmented{suffix}.csv")
 
         for model_name in models:
             results.append(
@@ -199,9 +203,7 @@ def run_synth(config: ExperimentConfig, n_samples: int):
     """Train the GAN on the split's positives and dump n generated rows."""
     if n_samples < 1:
         raise PreconditionError("need n >= 1 samples")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _check_writable(out_dir)
+    out_dir = _prepare_out_dir(config)
     train_scaled, _ = _load_split_scale(config)
     generator, log, rng = _train_generator(config, train_scaled)
     samples = gan.generate(generator, n_samples, rng)
@@ -225,6 +227,8 @@ def emit_outputs(results: list, out_dir) -> None:
               "specificity", "auc_roc"]
     if any_failed:
         header.append("status")
+    # metrics.csv alone keeps csv.writer: its error cells may hold commas and
+    # need quoting, and its pinned bytes have CRLF line ends
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -250,22 +254,16 @@ def emit_outputs(results: list, out_dir) -> None:
             writer.writerow(row)
     for r in results:
         if r.roc is not None:
-            _write_roc_csv(r.roc, out_dir / f"roc_{r.mode}_{r.model}.csv")
+            data.write_csv(out_dir / f"roc_{r.mode}_{r.model}.csv", ["fpr", "tpr"],
+                           "%.9f,%.9f\n", r.roc.points)
 
 
-def _write_roc_csv(curve: metrics.RocCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("fpr,tpr\n")
-        for fpr, tpr in curve.points:
-            fh.write(f"{fpr:.9f},{tpr:.9f}\n")
-
-
-def _write_augmented_csv(augmented, path) -> None:
+def _write_augmented_csv(augmented: augment.AugmentedDataset, path) -> None:
     d = augmented.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"f{i}" for i in range(d)) + ",label,provenance\n")
-        for row, label, tag in zip(
-            augmented.features, augmented.labels, augmented.provenance
-        ):
-            cells = ",".join(f"{v:.9f}" for v in row)
-            fh.write(f"{cells},{label},{tag}\n")
+    data.write_csv(
+        path,
+        [f"f{i}" for i in range(d)] + ["label", "provenance"],
+        "%.9f," * d + "%d,%s\n",
+        ((*row, label, tag) for row, label, tag in
+         zip(augmented.features, augmented.labels, augmented.provenance)),
+    )

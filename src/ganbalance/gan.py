@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ganbalance import nn
-from ganbalance.data import Dataset
+from ganbalance.data import Dataset, write_csv
 from ganbalance.errors import PreconditionError
 
 NOISE_DIM = 100
@@ -178,15 +178,10 @@ def generate(generator: Generator, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def write_log_csv(log: GanTrainingLog, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,gen_loss,disc_loss,disc_acc\n")
-        for e, g, d, a in zip(log.epochs, log.gen_loss, log.disc_loss, log.disc_acc):
-            fh.write(f"{e},{g:.6f},{d:.6f},{a:.6f}\n")
+    write_csv(path, ["epoch", "gen_loss", "disc_loss", "disc_acc"], "%d,%.6f,%.6f,%.6f\n",
+              zip(log.epochs, log.gen_loss, log.disc_loss, log.disc_acc))
 
 
 def write_samples_csv(samples: np.ndarray, path) -> None:
-    header = ",".join(f"f{i}" for i in range(samples.shape[1]))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in samples:
-            fh.write(",".join(f"{v:.9f}" for v in row) + "\n")
+    d = samples.shape[1]
+    write_csv(path, [f"f{i}" for i in range(d)], ",".join(["%.9f"] * d) + "\n", samples)

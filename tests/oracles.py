@@ -6,7 +6,9 @@ from exhaustive enumeration, the split scan from a plain loop, Adam from one
 update per parameter array, CSV cells from one ``float()`` call each and
 trees from an argsort at every node, so a shared bug cannot hide in both
 routes.  The backward walk and the SVM loop are also kept here in their
-allocating form, to pin the in-place library versions to them bit for bit.
+allocating form, to pin the in-place library versions to them bit for bit,
+and the output CSVs are written by one f-string per value, to pin the
+shared printf-style row writer to them byte for byte.
 """
 
 from __future__ import annotations
@@ -344,3 +346,34 @@ def per_node_argsort_tree(x, y, depth: int, max_depth: int, min_leaf: int) -> Tr
         left=per_node_argsort_tree(x[go_left], y[go_left], depth + 1, max_depth, min_leaf),
         right=per_node_argsort_tree(x[~go_left], y[~go_left], depth + 1, max_depth, min_leaf),
     )
+
+
+def fstring_samples_csv(samples, path) -> None:
+    header = ",".join(f"f{i}" for i in range(samples.shape[1]))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in samples:
+            fh.write(",".join(f"{v:.9f}" for v in row) + "\n")
+
+
+def fstring_log_csv(log, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("epoch,gen_loss,disc_loss,disc_acc\n")
+        for e, g, d, a in zip(log.epochs, log.gen_loss, log.disc_loss, log.disc_acc):
+            fh.write(f"{e},{g:.6f},{d:.6f},{a:.6f}\n")
+
+
+def fstring_roc_csv(points, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("fpr,tpr\n")
+        for fpr, tpr in points:
+            fh.write(f"{fpr:.9f},{tpr:.9f}\n")
+
+
+def fstring_augmented_csv(features, labels, provenance, path) -> None:
+    d = features.shape[1]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"f{i}" for i in range(d)) + ",label,provenance\n")
+        for row, label, tag in zip(features, labels, provenance):
+            cells = ",".join(f"{v:.9f}" for v in row)
+            fh.write(f"{cells},{label},{tag}\n")

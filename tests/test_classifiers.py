@@ -31,7 +31,7 @@ def _label_free(n=400, dim=3, seed=1):
 def test_logreg_separable_reaches_full_accuracy():
     ds = _separable_1d()
     model = cl.train_logreg(ds, cl.TrainConfig(epochs=300, learning_rate=0.05, seed=2))
-    predicted = cl.predict_label(model, ds.features)
+    predicted = cl.predict_score(model, ds.features) > 0.5
     assert np.array_equal(predicted, ds.labels)
 
 
@@ -112,7 +112,7 @@ def test_tree_solves_xor_at_depth_two():
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0], dtype=np.int64)
     model = cl.train_tree(Dataset(x, y), cl.TrainConfig(max_depth=2))
-    assert np.array_equal(cl.predict_label(model, x), y)
+    assert np.array_equal(cl.predict_score(model, x) > 0.5, y)
 
 
 def test_tree_root_split_matches_exhaustive_search():
@@ -192,7 +192,7 @@ def test_mlp_separable_reaches_high_accuracy():
     ds = _separable_1d(n=80, seed=16)
     config = cl.TrainConfig(epochs=400, learning_rate=1e-2, seed=17)
     model = cl.train_mlp(ds, config)
-    accuracy = float(np.mean(cl.predict_label(model, ds.features) == ds.labels))
+    accuracy = float(np.mean((cl.predict_score(model, ds.features) > 0.5) == ds.labels))
     assert accuracy >= 0.95
 
 
@@ -227,7 +227,7 @@ def test_mlp_label_agrees_with_argmax():
 
     probs, _ = nn.forward(model.network, ds.features, mode="infer")
     argmax = probs.argmax(axis=1)
-    labels = cl.predict_label(model, ds.features)
+    labels = cl.predict_score(model, ds.features) > 0.5
     assert np.array_equal(labels, argmax)
 
 
@@ -241,14 +241,6 @@ def test_predict_score_trivial_values():
     leaf = cl.TreeNode(prob=0.25, count=4)
     tree = cl.DecisionTreeModel(leaf, 2)
     assert np.array_equal(cl.predict_score(tree, np.zeros((3, 2))), [0.25] * 3)
-
-
-def test_predict_label_strict_threshold():
-    leaf = cl.TreeNode(prob=0.5, count=2)
-    tree = cl.DecisionTreeModel(leaf, 1)
-    assert np.array_equal(cl.predict_label(tree, np.zeros((2, 1))), [0, 0])
-    assert np.array_equal(cl.predict_label(tree, np.zeros((2, 1)), threshold=0.4), [1, 1])
-    assert np.array_equal(cl.predict_label(tree, np.zeros((2, 1)), threshold=0.0), [1, 1])
 
 
 def test_predict_score_shape_error():

@@ -159,6 +159,32 @@ def test_empty_split_exits_two_naming_the_flag(corpus, tmp_path, capsys, side):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("test_pos", ["0", "100"])
+def test_single_class_test_split_exits_two_before_any_work(corpus, tmp_path, capsys,
+                                                           test_pos):
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--data", str(corpus), "--out", str(out), "--modes", "raw", "--models", "dt",
+         "--train-size", "150", "--test-size", "100", "--train-pos", "20",
+         "--test-pos", test_pos]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--test-pos" in captured.err and "--test-size" in captured.err
+    assert not out.exists()
+
+
+def test_synth_accepts_a_test_split_without_positives(corpus, tmp_path, capsys):
+    code = main(
+        ["synth", "--data", str(corpus), "--out", str(tmp_path), "--n", "3",
+         "--gan-epochs", "2", "--train-size", "150", "--test-size", "100",
+         "--train-pos", "20", "--test-pos", "0"]
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert (tmp_path / "generated_samples.csv").exists()
+
+
 def _split(pos_train, pos_test, neg_train, neg_test):
     return (neg_train + pos_train, neg_test + pos_test, pos_train, pos_test)
 

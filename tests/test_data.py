@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ganbalance import data
@@ -204,7 +204,7 @@ def test_full_pipeline_lands_in_unit_interval():
     table = data.dedup(table)
     spec = data.SplitSpec(100, 50, 40, 20)
     train, test = data.stratified_split(table, spec, rng)
-    train_s, test_s, _, _ = data.scale_train_test(train, test)
+    train_s, test_s = data.scale_train_test(train, test)
     for side in (train_s, test_s):
         assert side.features.min() >= 0.0
         assert side.features.max() <= 1.0
@@ -424,6 +424,55 @@ def test_dedup_matches_np_unique(pool, picks, n_features):
     assert out.features.tobytes() == features[keep].tobytes()
     assert np.array_equal(out.labels, labels[keep])
     assert data.dedup(out).n_rows == out.n_rows
+
+
+# ---- split and scale invariants ------------------------------------------
+
+@st.composite
+def _split_case(draw):
+    """(table, spec): a small table whose first column is the row index,
+    and a split spec that fits it."""
+    n_pos, n_neg = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    train_pos = draw(st.integers(0, n_pos))
+    test_pos = draw(st.integers(0, n_pos - train_pos))
+    train_neg = draw(st.integers(0, n_neg))
+    test_neg = draw(st.integers(0, n_neg - train_neg))
+    assume(train_pos + train_neg >= 1 and test_pos + test_neg >= 1)
+    labels = np.array(draw(st.permutations([1] * n_pos + [0] * n_neg)), dtype=np.int64)
+    n_columns = draw(st.integers(0, 3))
+    cell = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0]))
+    cells = draw(st.lists(st.lists(cell, min_size=n_columns, max_size=n_columns),
+                          min_size=len(labels), max_size=len(labels)))
+    drawn = np.array(cells, dtype=np.float64).reshape(len(labels), n_columns)
+    features = np.column_stack([np.arange(len(labels), dtype=np.float64), drawn])
+    table = data.RawTable([f"c{j}" for j in range(features.shape[1])], features, labels)
+    spec = data.SplitSpec(train_pos + train_neg, test_pos + test_neg, train_pos, test_pos)
+    return table, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_split_case(), seed=st.integers(0, 2**32 - 1))
+def test_split_and_scale_invariants(case, seed):
+    table, spec = case
+    train, test = data.stratified_split(table, spec, np.random.default_rng(seed))
+    sides = ((train, spec.train_size, spec.train_positives),
+             (test, spec.test_size, spec.test_positives))
+    for side, size, positives in sides:
+        assert len(side.labels) == size and side.positive_count == positives
+        rows = side.features[:, 0].astype(np.int64)
+        assert np.all(np.diff(rows) > 0)  # file order, no row twice
+        assert side.features.tobytes() == table.features[rows].tobytes()
+        assert np.array_equal(side.labels, table.labels[rows])
+    assert not set(train.features[:, 0]) & set(test.features[:, 0])
+
+    train_s, test_s = data.scale_train_test(train, test)
+    for side, scaled in ((train, train_s), (test, test_s)):
+        assert scaled.features.shape == side.features.shape
+        assert np.all((scaled.features >= 0.0) & (scaled.features <= 1.0))
+        assert np.array_equal(scaled.labels, side.labels)
+    # each train column spans exactly [0, 1], or is all 0 when it is constant
+    for column in train_s.features.T:
+        assert (column.min(), column.max()) in ((0.0, 1.0), (0.0, 0.0))
 
 
 def test_load_and_dedup_peak_memory_is_bounded(tmp_path):

@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from ganbalance.data import SplitSpec
+from ganbalance import classifiers
+from ganbalance.data import Dataset, SplitSpec
 from ganbalance.errors import PreconditionError, RunFailureError
 from ganbalance.experiment import (
     ExperimentConfig,
+    _train_one,
     derive_seed,
     emit_outputs,
     run,
@@ -239,6 +241,18 @@ def test_failed_mode_marks_rows_and_raises_after_writing(corpus, tmp_path):
     assert "error: PreconditionError" in lines[2]
     assert (tmp_path / "roc_raw_dt.csv").exists()
     assert not (tmp_path / "roc_gan_dt.csv").exists()
+
+
+def test_score_ties_are_labelled_negative(monkeypatch, tmp_path):
+    # a row is labelled 1 only when its score is strictly above 0.5
+    monkeypatch.setattr(classifiers, "predict_score", lambda model, x: np.full(len(x), 0.5))
+    labels = np.array([1, 0] * 5, dtype=np.int64)
+    data = Dataset(np.random.default_rng(3).random((10, 2)), labels)
+    config = ExperimentConfig(data_path="unused.csv", out_dir=str(tmp_path))
+    result = _train_one("raw", "dt", data, data, config, tmp_path)
+    assert result.error is None
+    assert result.report.recall == 0.0
+    assert result.report.specificity == 1.0
 
 
 def test_emit_outputs_rejects_empty_results(tmp_path):

@@ -1,0 +1,81 @@
+"""The shared CSV row writer against the f-string writers it replaced, byte
+for byte, on the values where printf and format-spec rendering could part."""
+
+import numpy as np
+
+from ganbalance import augment, experiment, gan, metrics
+from ganbalance.data import Dataset
+from helpers import fresh_generator
+from oracles import (
+    fstring_augmented_csv,
+    fstring_log_csv,
+    fstring_roc_csv,
+    fstring_samples_csv,
+)
+
+EDGE_VALUES = [
+    np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), -0.0, 5e-10, 1.5e-9, 1e300,
+    np.nan, np.inf, -np.inf, 0.5, 1.0, 0.0,
+]
+
+
+def _edge_table(n_columns: int) -> np.ndarray:
+    """Every edge value in every column, each column in a different order."""
+    values = np.array(EDGE_VALUES)
+    return np.column_stack([np.roll(values, j) for j in range(n_columns)])
+
+
+def _same_bytes(tmp_path, write, reference, *args) -> bool:
+    write(*args, tmp_path / "new.csv")
+    reference(*args, tmp_path / "ref.csv")
+    return (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_samples_csv_matches_fstring_writer(tmp_path):
+    samples = np.vstack([
+        _edge_table(4),
+        gan.generate(fresh_generator(4, seed=3), 50, np.random.default_rng(4)),
+    ])
+    assert _same_bytes(tmp_path, gan.write_samples_csv, fstring_samples_csv, samples)
+
+
+def test_log_csv_matches_fstring_writer(tmp_path):
+    positives = Dataset(np.random.default_rng(5).random((8, 3)), np.ones(8, dtype=np.int64))
+    _, log = gan.train_gan(positives, gan.GanTrainConfig(epochs=6, seed=6, log_every=2))
+    for epoch, value in enumerate(EDGE_VALUES, start=7):
+        log.append(epoch, value, -value, float(value))
+    assert _same_bytes(tmp_path, gan.write_log_csv, fstring_log_csv, log)
+
+
+def test_roc_csv_matches_fstring_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    labels = np.array([0, 1] * 20, dtype=np.int64)
+    curve, auc = metrics.roc_auc(labels, rng.random(40))
+    points = np.vstack([curve.points, _edge_table(2)])
+    report = metrics.compute_metrics(metrics.confusion(labels, labels), auc)
+    result = experiment.RunResult("raw", "dt", report, 0.0,
+                                  roc=metrics.RocCurve(points=points))
+    experiment.emit_outputs([result], tmp_path)
+    fstring_roc_csv(points, tmp_path / "ref.csv")
+    assert (tmp_path / "roc_raw_dt.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_augmented_csv_matches_fstring_writer(tmp_path):
+    rng = np.random.default_rng(9)
+    train = Dataset(np.vstack([_edge_table(3), rng.random((8, 3))]),
+                    np.array([1] * 4 + [0] * 16, dtype=np.int64))
+    over = augment.random_oversample(train, rng)
+    ganned = augment.gan_augment(train, fresh_generator(3, seed=10), rng)
+    mixed = augment.AugmentedDataset(
+        np.vstack([over.features, ganned.features]),
+        np.concatenate([over.labels, ganned.labels]),
+        np.concatenate([over.provenance, ganned.provenance]),
+    )
+    assert mixed.labels.dtype == np.int64
+    assert set(mixed.provenance) == {"original", "duplicated", "generated"}
+
+    def reference(augmented, path):
+        fstring_augmented_csv(augmented.features, augmented.labels, augmented.provenance,
+                              path)
+
+    assert _same_bytes(tmp_path, experiment._write_augmented_csv, reference, mixed)
