@@ -54,16 +54,11 @@ class TrainConfig:
 
 
 @dataclass
-class LogisticModel:
+class LinearModel:
+    """What logistic regression and the linear SVM both learn."""
+
     weights: np.ndarray  # (d,)
     bias: float
-
-
-@dataclass
-class LinearSvmModel:
-    weights: np.ndarray  # (d,)
-    bias: float
-    regularization: float
 
 
 @dataclass
@@ -126,19 +121,19 @@ def _train_network(spec, x, targets, config: TrainConfig, default_lr, default_ep
     return net
 
 
-def train_logreg(data: Dataset, config: TrainConfig) -> LogisticModel:
+def train_logreg(data: Dataset, config: TrainConfig) -> LinearModel:
     """Adam on mean binary cross-entropy of sigmoid(w.x + b)."""
     _require_two_classes(data.labels, "logistic regression")
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y = data.labels.astype(np.float64).reshape(-1, 1)
     spec = [nn.dense(x.shape[1], 1), nn.sigmoid(1)]
     params = _train_network(spec, x, y, config, LOGREG_LR, LOGREG_EPOCHS).layers[0]
-    return LogisticModel(params.weights[:, 0].copy(), float(params.bias[0]))
+    return LinearModel(params.weights[:, 0].copy(), float(params.bias[0]))
 
 
 def train_svm(
     data: Dataset, config: TrainConfig, regularization: float = SVM_LAMBDA
-) -> LinearSvmModel:
+) -> LinearModel:
     """Primal soft-margin SVM: subgradient descent on lambda*|w|^2 + hinge."""
     _require_two_classes(data.labels, "SVM")
     if regularization <= 0:
@@ -164,7 +159,7 @@ def train_svm(
                 grad_b = 0.0
             w -= lr * grad_w
             b -= lr * grad_b
-    return LinearSvmModel(w, b, regularization)
+    return LinearModel(w, b)
 
 
 def _grow_tree(
@@ -266,7 +261,7 @@ def predict_score(model, X) -> np.ndarray:
     x = np.ascontiguousarray(X, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"input must be 2-D, got shape {x.shape}")
-    if isinstance(model, (LogisticModel, LinearSvmModel)):
+    if isinstance(model, LinearModel):
         _check_width(x, len(model.weights))
         margin = x @ model.weights + model.bias
         return 1.0 / (1.0 + np.exp(-margin))
@@ -280,53 +275,3 @@ def predict_score(model, X) -> np.ndarray:
         probs, _ = nn.forward(model.network, x, mode="infer")
         return probs[:, 1]
     raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"prob": node.prob, "count": node.count}
-    return {
-        "prob": node.prob,
-        "count": node.count,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def serialize_model(model) -> dict:
-    """Versioned, self-describing dict (JSON-ready) for --save-models."""
-    if isinstance(model, LogisticModel):
-        body = {"kind": "logreg", "weights": model.weights.tolist(), "bias": model.bias}
-    elif isinstance(model, LinearSvmModel):
-        body = {
-            "kind": "svm",
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "regularization": model.regularization,
-        }
-    elif isinstance(model, DecisionTreeModel):
-        body = {
-            "kind": "dt",
-            "n_features": model.n_features,
-            "root": _tree_to_dict(model.root),
-        }
-    elif isinstance(model, MlpModel):
-        layers = []
-        for entry in model.network.layers:
-            if isinstance(entry, nn.DenseParams):
-                layers.append(
-                    {
-                        "dense": {
-                            "weights": entry.weights.tolist(),
-                            "bias": entry.bias.tolist(),
-                        }
-                    }
-                )
-            else:
-                layers.append(None)
-        body = {"kind": "mlp", "n_features": model.network.spec[0].input_dim, "layers": layers}
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return {"format": "ganbalance.model.v1", **body}

@@ -9,11 +9,9 @@ and dumps generated samples.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from ganbalance import experiment
-from ganbalance.classifiers import TrainConfig
 from ganbalance.data import SplitSpec
 from ganbalance.errors import GanBalanceError, RunFailureError
 from ganbalance.gan import GanTrainConfig
@@ -31,10 +29,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="positive rows assigned to the training split")
     parser.add_argument("--test-pos", type=int, default=SplitSpec.test_positives,
                         help="positive rows assigned to the test split")
-    parser.add_argument("--gan-epochs", type=int, default=None)
-    parser.add_argument("--gan-lr", type=float, default=None)
-    parser.add_argument("--gan-batch", type=int, default=None)
-    parser.add_argument("--gan-log-every", type=int, default=None)
+    parser.add_argument("--gan-epochs", type=int, default=GanTrainConfig.epochs)
+    parser.add_argument("--gan-lr", type=float, default=GanTrainConfig.learning_rate)
+    parser.add_argument("--gan-batch", type=int, default=GanTrainConfig.batch_size)
+    parser.add_argument("--gan-log-every", type=int, default=GanTrainConfig.log_every)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,28 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mlp-epochs", type=int, default=None)
     run_p.add_argument("--dump-augmented", action="store_true",
                        help="write the augmented training set(s) with provenance")
-    run_p.add_argument("--save-models", action="store_true",
-                       help="write each trained model as JSON")
 
     synth_p = sub.add_parser("synth", help="train the GAN and dump samples")
     _add_common(synth_p)
     synth_p.add_argument("--n", type=int, required=True,
                          help="number of rows to generate")
     return parser
-
-
-def _gan_config(args) -> GanTrainConfig:
-    cfg = GanTrainConfig()
-    overrides = {}
-    if args.gan_epochs is not None:
-        overrides["epochs"] = args.gan_epochs
-    if args.gan_lr is not None:
-        overrides["learning_rate"] = args.gan_lr
-    if args.gan_batch is not None:
-        overrides["batch_size"] = args.gan_batch
-    if args.gan_log_every is not None:
-        overrides["log_every"] = args.gan_log_every
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _experiment_config(args) -> experiment.ExperimentConfig:
@@ -90,8 +72,8 @@ def _experiment_config(args) -> experiment.ExperimentConfig:
         out_dir=args.out,
         seed=args.seed,
         split=split,
-        gan=_gan_config(args),
-        train=TrainConfig(),
+        gan=GanTrainConfig(epochs=args.gan_epochs, learning_rate=args.gan_lr,
+                           batch_size=args.gan_batch, log_every=args.gan_log_every),
         label_column=args.label_column,
     )
     if args.command == "run":
@@ -100,7 +82,6 @@ def _experiment_config(args) -> experiment.ExperimentConfig:
             models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
             mlp_epochs=args.mlp_epochs,
             dump_augmented=args.dump_augmented,
-            save_models=args.save_models,
         )
     return experiment.ExperimentConfig(**kwargs)
 

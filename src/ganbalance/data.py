@@ -60,12 +60,11 @@ class SplitSpec:
         for name in ("train_size", "test_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} (--{name.replace('_', '-')}) must be >= 1")
-        if self.train_positives > self.train_size:
-            raise ValueError("train_positives exceeds train_size")
-        if self.test_positives > self.test_size:
-            raise ValueError("test_positives exceeds test_size")
-        if min(self.train_size, self.test_size, self.train_positives, self.test_positives) < 0:
-            raise ValueError("split counts must be non-negative")
+        for side in ("train", "test"):
+            size, positives = getattr(self, f"{side}_size"), getattr(self, f"{side}_positives")
+            if not 0 <= positives <= size:
+                raise ValueError(f"{side}_positives (--{side}-pos) is {positives}, must lie "
+                                 f"between 0 and {side}_size (--{side}-size), {size}")
 
 
 @dataclass
@@ -301,12 +300,27 @@ def apply_minmax(params: MinMaxParams, data: Dataset) -> Dataset:
     return Dataset(scaled, data.labels.copy())
 
 
-def scale_train_test(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+def scale_train_test(
+    train: Dataset, test: Dataset, feature_names: list
+) -> tuple[Dataset, Dataset]:
     """Fit both scalers on train, apply them to both sides; returns
-    (train_scaled, test_scaled)."""
-    std_params = fit_standard(train)
+    (train_scaled, test_scaled).
+
+    Raises SchemaError naming the first column whose train mean or standard
+    deviation overflows float64.  With both finite every standardized train
+    value is finite; a test value may still overflow to +-inf, which the
+    min-max stage clamps to 1 or 0 like any value outside the train range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        std_params = fit_standard(train)
+    finite = np.isfinite(std_params.mean) & np.isfinite(std_params.std)
+    if not finite.all():
+        name = feature_names[int(np.argmin(finite))]
+        raise SchemaError(f"column {name!r}: its train mean or standard deviation "
+                          "overflows float64, so it cannot be standardized")
     train_std = apply_standard(std_params, train)
-    test_std = apply_standard(std_params, test)
+    with np.errstate(over="ignore"):
+        test_std = apply_standard(std_params, test)
     mm_params = fit_minmax(train_std)
     return apply_minmax(mm_params, train_std), apply_minmax(mm_params, test_std)
 

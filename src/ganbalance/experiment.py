@@ -6,7 +6,7 @@ set (raw as-is, oversample via random duplication, gan via generator-sampled
 rows) and trains every requested classifier on it.  All evaluation happens on
 the single untouched test split.  Outputs land in the chosen directory:
 metrics.csv, one ROC file per (mode, model), the GAN training log when the
-gan mode ran, plus optional augmented-set dumps and model files.
+gan mode ran, plus optional augmented-set dumps.
 
 Determinism: one master seed fans out to independent per-stage seeds via
 sha256, so two runs with the same config produce byte-identical outputs.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +52,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     mlp_epochs: int | None = None
     dump_augmented: bool = False
-    save_models: bool = False
     label_column: str = "Class"
 
     def __post_init__(self):
@@ -100,7 +98,7 @@ def _load_split_scale(config: ExperimentConfig):
     table = data.dedup(data.load_csv(config.data_path, config.label_column))
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
     train_raw, test_raw = data.stratified_split(table, config.split, split_rng)
-    return data.scale_train_test(train_raw, test_raw)
+    return data.scale_train_test(train_raw, test_raw, table.feature_names)
 
 
 def _train_generator(config: ExperimentConfig, train_scaled):
@@ -112,7 +110,7 @@ def _train_generator(config: ExperimentConfig, train_scaled):
     return generator, log, np.random.default_rng(derive_seed(config.seed, "gan-generate"))
 
 
-def _train_one(mode, model_name, train_set, test_set, config, out_dir):
+def _train_one(mode, model_name, train_set, test_set, config):
     started = time.perf_counter()
     train_cfg = dataclasses.replace(
         config.train, seed=derive_seed(config.seed, f"classifier:{mode}:{model_name}")
@@ -134,9 +132,6 @@ def _train_one(mode, model_name, train_set, test_set, config, out_dir):
             time.perf_counter() - started,
             error=f"{type(exc).__name__}: {exc}",
         )
-    if config.save_models:
-        path = out_dir / f"model_{mode}_{model_name}.json"
-        path.write_text(json.dumps(classifiers.serialize_model(model), indent=2) + "\n")
     return RunResult(mode, model_name, report, time.perf_counter() - started, roc=curve)
 
 
@@ -184,9 +179,7 @@ def run(config: ExperimentConfig) -> list:
             _write_augmented_csv(train_set, out_dir / f"train_augmented{suffix}.csv")
 
         for model_name in models:
-            results.append(
-                _train_one(mode, model_name, train_set, test_scaled, config, out_dir)
-            )
+            results.append(_train_one(mode, model_name, train_set, test_scaled, config))
 
     emit_outputs(results, out_dir)
     if gan_log is not None:

@@ -232,11 +232,8 @@ def test_mlp_label_agrees_with_argmax():
 
 
 def test_predict_score_trivial_values():
-    logreg = cl.LogisticModel(np.zeros(3), 0.0)
-    assert np.array_equal(cl.predict_score(logreg, np.ones((2, 3))), [0.5, 0.5])
-
-    svm = cl.LinearSvmModel(np.zeros(2), 0.0, 1e-4)
-    assert cl.predict_score(svm, np.ones((1, 2)))[0] == 0.5
+    linear = cl.LinearModel(np.zeros(3), 0.0)
+    assert np.array_equal(cl.predict_score(linear, np.ones((2, 3))), [0.5, 0.5])
 
     leaf = cl.TreeNode(prob=0.25, count=4)
     tree = cl.DecisionTreeModel(leaf, 2)
@@ -244,31 +241,17 @@ def test_predict_score_trivial_values():
 
 
 def test_predict_score_shape_error():
-    model = cl.LogisticModel(np.zeros(3), 0.0)
+    model = cl.LinearModel(np.zeros(3), 0.0)
     with pytest.raises(ShapeError):
         cl.predict_score(model, np.ones((2, 4)))
 
 
 def test_score_monotone_in_margin():
     rng = np.random.default_rng(23)
-    model = cl.LinearSvmModel(rng.normal(size=4), 0.3, 1e-4)
+    model = cl.LinearModel(rng.normal(size=4), 0.3)
     x = rng.normal(size=(30, 4))
     margins = x @ model.weights + model.bias
     scores = cl.predict_score(model, x)
     order_m = np.argsort(margins)
     order_s = np.argsort(scores)
     assert np.array_equal(order_m, order_s)
-
-
-def test_serialize_model_round_trip_fields():
-    ds = _separable_1d(n=20, seed=24)
-    logreg = cl.train_logreg(ds, cl.TrainConfig(epochs=5, seed=25))
-    blob = cl.serialize_model(logreg)
-    assert blob["format"] == "ganbalance.model.v1"
-    assert blob["kind"] == "logreg"
-    assert len(blob["weights"]) == 1
-
-    tree = cl.train_tree(ds, cl.TrainConfig(max_depth=2))
-    tree_blob = cl.serialize_model(tree)
-    assert tree_blob["kind"] == "dt"
-    assert "root" in tree_blob

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,13 +81,16 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
 
 
 def test_unknown_mode_exits_two(corpus, tmp_path, capsys):
-    code = main(
-        ["run", "--data", str(corpus), "--out", str(tmp_path),
-         "--modes", "bogus", *SPLIT_FLAGS]
-    )
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error:" in captured.err
+    # an unknown mode, then the --save-models flag, which no longer exists
+    for extra in (["--modes", "bogus"], ["--modes", "raw", "--models", "dt", "--save-models"]):
+        try:
+            code = main(["run", "--data", str(corpus), "--out", str(tmp_path), *extra,
+                         *SPLIT_FLAGS])
+        except SystemExit as exc:  # argparse rejects unknown flags this way
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
 
 
 def test_partial_failure_exits_three(corpus, tmp_path, capsys):
@@ -157,6 +161,26 @@ def test_empty_split_exits_two_naming_the_flag(corpus, tmp_path, capsys, side):
     assert code == 2
     assert f"--{side}-size" in captured.err and "must be >= 1" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_column_exits_two_naming_it(tmp_path, capsys):
+    # column a sits near the float64 maximum, so its train mean or standard
+    # deviation overflows; the run must stop there rather than score NaN
+    path = tmp_path / "huge.csv"
+    huge = ("1e308", "1.7e308", "-1.7e308")
+    path.write_text("a,b,Class\n" + "".join(
+        f"{huge[i % 3]},{i},{int(i % 3 == 0)}\n" for i in range(60)))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--data", str(path), "--out", str(out), "--modes", "raw",
+                     "--models", "dt,logreg", "--train-size", "36", "--test-size", "24",
+                     "--train-pos", "12", "--test-pos", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "column 'a'" in captured.err
+    assert [str(w.message) for w in caught] == []
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("test_pos", ["0", "100"])

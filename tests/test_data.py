@@ -152,6 +152,11 @@ def test_stratified_split_capacity_errors():
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         data.SplitSpec(train_size=5, train_positives=6)
+    # a count out of range names its flag and the size flag it is bounded by
+    for side in ("train", "test"):
+        for positives in (-1, 20_000):
+            with pytest.raises(ValueError, match=f"--{side}-pos.*--{side}-size"):
+                data.SplitSpec(**{f"{side}_size": 100, f"{side}_positives": positives})
 
 
 def test_standard_scaler_hand_values():
@@ -204,7 +209,7 @@ def test_full_pipeline_lands_in_unit_interval():
     table = data.dedup(table)
     spec = data.SplitSpec(100, 50, 40, 20)
     train, test = data.stratified_split(table, spec, rng)
-    train_s, test_s = data.scale_train_test(train, test)
+    train_s, test_s = data.scale_train_test(train, test, table.feature_names)
     for side in (train_s, test_s):
         assert side.features.min() >= 0.0
         assert side.features.max() <= 1.0
@@ -440,7 +445,8 @@ def _split_case(draw):
     assume(train_pos + train_neg >= 1 and test_pos + test_neg >= 1)
     labels = np.array(draw(st.permutations([1] * n_pos + [0] * n_neg)), dtype=np.int64)
     n_columns = draw(st.integers(0, 3))
-    cell = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0]))
+    cell = st.one_of(st.floats(-1e6, 1e6),
+                     st.sampled_from([0.0, -0.0, 1.0, 1.7e308, -1.7e308]))
     cells = draw(st.lists(st.lists(cell, min_size=n_columns, max_size=n_columns),
                           min_size=len(labels), max_size=len(labels)))
     drawn = np.array(cells, dtype=np.float64).reshape(len(labels), n_columns)
@@ -465,7 +471,14 @@ def test_split_and_scale_invariants(case, seed):
         assert np.array_equal(side.labels, table.labels[rows])
     assert not set(train.features[:, 0]) & set(test.features[:, 0])
 
-    train_s, test_s = data.scale_train_test(train, test)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(train.features.mean(axis=0)) & np.isfinite(train.features.std(axis=0))
+    if not finite.all():
+        # a column near the float64 maximum overflows its train mean or std
+        with pytest.raises(SchemaError, match=repr(table.feature_names[np.argmin(finite)])):
+            data.scale_train_test(train, test, table.feature_names)
+        return
+    train_s, test_s = data.scale_train_test(train, test, table.feature_names)
     for side, scaled in ((train, train_s), (test, test_s)):
         assert scaled.features.shape == side.features.shape
         assert np.all((scaled.features >= 0.0) & (scaled.features <= 1.0))

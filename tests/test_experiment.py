@@ -1,7 +1,6 @@
 """Experiment runner: orchestration, output files, determinism, failure paths."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -47,7 +46,6 @@ def full_run(corpus, tmp_path_factory):
         split=SPLIT,
         gan=GAN_FAST,
         dump_augmented=True,
-        save_models=True,
     )
     results = run(config)
     return config, out, results
@@ -127,15 +125,6 @@ def test_full_run_dumps_suffixed_augmented_sets(full_run):
         tags = {r[5] for r in rows}
         extra = "duplicated" if mode == "oversample" else "generated"
         assert tags == {"original", extra}
-
-
-def test_full_run_saves_model_files(full_run):
-    _, out, _ = full_run
-    for mode in ("raw", "oversample", "gan"):
-        for model in ("dt", "logreg"):
-            payload = json.loads((out / f"model_{mode}_{model}.json").read_text())
-            assert payload["format"] == "ganbalance.model.v1"
-            assert payload["kind"] in ("dt", "logreg")
 
 
 def test_single_mode_run_uses_plain_augmented_name(corpus, tmp_path):
@@ -249,7 +238,7 @@ def test_score_ties_are_labelled_negative(monkeypatch, tmp_path):
     labels = np.array([1, 0] * 5, dtype=np.int64)
     data = Dataset(np.random.default_rng(3).random((10, 2)), labels)
     config = ExperimentConfig(data_path="unused.csv", out_dir=str(tmp_path))
-    result = _train_one("raw", "dt", data, data, config, tmp_path)
+    result = _train_one("raw", "dt", data, data, config)
     assert result.error is None
     assert result.report.recall == 0.0
     assert result.report.specificity == 1.0

@@ -42,22 +42,6 @@ RUN_DIGESTS = {
     "train_augmented_oversample.csv": "6bda9e07100ad14ade8db395685ab4c58d9aa340d3d00524e149f40d9e695519",
 }
 
-# the --save-models files of the same run
-MODEL_DIGESTS = {
-    "model_gan_dt.json": "5d28134a135c8116467e9def5714f95e49061887dac5890f6f2763996921fbb6",
-    "model_gan_logreg.json": "f0ed6ae9b96baed71e039efd4784e5004f74693409a43666d718a4f0306cf05c",
-    "model_gan_mlp.json": "b25a5d1dd7c8d3101516095b6e6f673f1341e072d17aa53faf685b9fe0f8006f",
-    "model_gan_svm.json": "3e31237d18156d50fbe4f6899bebe1bb2548e64f09f3dcc662996fafe02438f6",
-    "model_oversample_dt.json": "123cafea6e2dee80173b39cf66688789906436fda1bef928e2fbf3b94d66d56c",
-    "model_oversample_logreg.json": "28ce18975bee5a517f3e9df5910d3e32841c5626159922c6229099ac77da432c",
-    "model_oversample_mlp.json": "3b4b8ff2d21aacf5fe95c61eadc2fa494359b36e638432a7f9f1cda40bfad544",
-    "model_oversample_svm.json": "e05339d4a7be80c97f0add07a44215ee1a07033e2d97cc4680d0868619218325",
-    "model_raw_dt.json": "c32eee032115fd8ce42e471d541784edeb8f35901e2f05c3d00b9c7badc29f04",
-    "model_raw_logreg.json": "7efbb6b32aa1f706971b73a9229bf54515f82c181558d0d3346b469bb3e77610",
-    "model_raw_mlp.json": "5371c757cbce9ba4b61ed18344dbcc8412462470fc8a21773b66d7aa47939531",
-    "model_raw_svm.json": "473a245b91272c2691029f03ff185eed6be0f2a0e3aa9034422fcafb113d8e5b",
-}
-
 SYNTH_DIGESTS = {
     "gan_training_log.csv": "37a096a7db45cfed007a0b6840adb74ca63b72e4d8916d179ea88cfb64041a1b",
     "generated_samples.csv": "4b3468ee0d016eb1533106d80e4bd6167bfa29e4ed323bd6a30aa79aecd187f4",
@@ -84,9 +68,9 @@ def _digests(out_dir):
 
 def test_run_outputs_match_pinned_digests(table, tmp_path):
     code = main(["run", "--data", str(table), "--out", str(tmp_path),
-                 "--mlp-epochs", "5", "--dump-augmented", "--save-models", *COMMON_FLAGS])
+                 "--mlp-epochs", "5", "--dump-augmented", *COMMON_FLAGS])
     assert code == 0
-    assert _digests(tmp_path) == {**RUN_DIGESTS, **MODEL_DIGESTS}
+    assert _digests(tmp_path) == RUN_DIGESTS
 
 
 def test_synth_outputs_match_pinned_digests(table, tmp_path):
