@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ganbalance import gan
+from ganbalance import gan, nn
 from ganbalance.data import Dataset
 from ganbalance.errors import (
     EmptyMinorityError,
@@ -66,18 +66,22 @@ def random_oversample(train: Dataset, rng: np.random.Generator) -> AugmentedData
     )
 
 
-def gan_augment(
-    train: Dataset, generator: gan.Generator, rng: np.random.Generator
-) -> AugmentedDataset:
-    """Append generated minority rows until positives match negatives."""
+def gan_deficit(train: Dataset) -> int:
+    """The number of generated rows that balance ``train``; raises
+    NothingToBalanceError unless positives are the minority."""
     n_pos = train.positive_count
     n_neg = train.negative_count
     if n_pos >= n_neg:
-        raise NothingToBalanceError(
-            f"positives ({n_pos}) already >= negatives ({n_neg})"
-        )
-    deficit = n_neg - n_pos
-    synthetic = gan.generate(generator, deficit, rng)
+        raise NothingToBalanceError(f"positives ({n_pos}) already >= negatives ({n_neg})")
+    return n_neg - n_pos
+
+
+def gan_augment(
+    train: Dataset, network: nn.Network, rng: np.random.Generator
+) -> AugmentedDataset:
+    """Append rows from the generator network until positives match negatives."""
+    deficit = gan_deficit(train)
+    synthetic = gan.generate(network, deficit, rng)
     if synthetic.shape[1] != train.features.shape[1]:
         raise PreconditionError(
             f"generator emits {synthetic.shape[1]} features, train set has "

@@ -39,7 +39,6 @@ class TrainConfig:
     learning_rate: float | None = None
     batch_size: int = 64
     max_depth: int = 8
-    min_leaf: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +48,8 @@ class TrainConfig:
             math.isfinite(self.learning_rate) and self.learning_rate > 0
         ):
             raise ValueError("learning_rate must be finite and positive")
-        if self.batch_size < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ValueError("batch_size, max_depth, min_leaf must be >= 1")
+        if self.batch_size < 1 or self.max_depth < 1:
+            raise ValueError("batch_size and max_depth must be >= 1")
 
 
 @dataclass
@@ -86,8 +85,9 @@ class MlpModel:
     network: nn.Network
 
 
-def mlp_spec(input_dim: int, hidden: int = MLP_HIDDEN):
+def mlp_spec(input_dim: int):
     """Two hidden layers (relu, then sigmoid) into a 2-way softmax."""
+    hidden = MLP_HIDDEN
     return [
         nn.dense(input_dim, hidden),
         nn.relu(hidden),
@@ -131,13 +131,9 @@ def train_logreg(data: Dataset, config: TrainConfig) -> LinearModel:
     return LinearModel(params.weights[:, 0].copy(), float(params.bias[0]))
 
 
-def train_svm(
-    data: Dataset, config: TrainConfig, regularization: float = SVM_LAMBDA
-) -> LinearModel:
-    """Primal soft-margin SVM: subgradient descent on lambda*|w|^2 + hinge."""
+def train_svm(data: Dataset, config: TrainConfig) -> LinearModel:
+    """Primal soft-margin SVM: subgradient descent on SVM_LAMBDA*|w|^2 + hinge."""
     _require_two_classes(data.labels, "SVM")
-    if regularization <= 0:
-        raise ValueError("regularization must be positive")
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y = np.where(data.labels == 1, 1.0, -1.0)
     d = x.shape[1]
@@ -150,7 +146,7 @@ def train_svm(
             xb = x[idx]
             yb = y[idx]
             violating = yb * (xb @ w + b) < 1.0
-            grad_w = 2.0 * regularization * w
+            grad_w = 2.0 * SVM_LAMBDA * w
             y_violating = yb[violating]
             if y_violating.size:
                 grad_w = grad_w - (y_violating @ xb[violating]) / len(idx)
@@ -175,11 +171,7 @@ def _grow_tree(
     n = sorted_rows.shape[1]
     n_pos = int(np.sum(y[sorted_rows[0]]))
     prob = n_pos / n
-    if (
-        n_pos in (0, n)
-        or depth >= config.max_depth
-        or n < 2 * config.min_leaf
-    ):
+    if n_pos in (0, n) or depth >= config.max_depth:
         return TreeNode(prob=prob, count=n)
 
     # best split over features in ascending index order; strict > keeps the
@@ -189,7 +181,7 @@ def _grow_tree(
     best_threshold = 0.0
     for j in range(x.shape[1]):
         rows = sorted_rows[j]
-        score, threshold, found = kernels.split_scan(x[rows, j], y[rows], config.min_leaf)
+        score, threshold, found = kernels.split_scan(x[rows, j], y[rows])
         if found and score > best_score:
             best_score = score
             best_feature = j
@@ -217,8 +209,8 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
 
     Candidate splits sit halfway between consecutive distinct sorted values;
     a node splits on the candidate with the largest impurity decrease (even a
-    zero decrease, so patterns like XOR still separate), stopping at purity,
-    max_depth, or min_leaf.  Each column is sorted once, at the root.
+    zero decrease, so patterns like XOR still separate), stopping at purity
+    or max_depth.  Each column is sorted once, at the root.
     """
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y = data.labels.astype(np.int64)

@@ -45,10 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="full mode/model comparison")
     _add_common(run_p)
-    run_p.add_argument("--modes", default="raw,oversample,gan",
-                       help="comma list from raw,oversample,gan")
-    run_p.add_argument("--models", default="svm,dt,logreg,mlp",
-                       help="comma list from svm,dt,logreg,mlp")
+    for flag, names in (("--modes", experiment.MODES), ("--models", experiment.MODELS)):
+        run_p.add_argument(flag, default=",".join(names), help="comma list from %(default)s")
     run_p.add_argument("--mlp-epochs", type=int, default=None)
     run_p.add_argument("--dump-augmented", action="store_true",
                        help="write the augmented training set(s) with provenance")

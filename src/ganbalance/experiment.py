@@ -42,6 +42,10 @@ _TRAINERS = {
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings.  Every stage seed (split, oversampling, GAN
+    training and sampling, each classifier) derives from ``seed``, so
+    ``gan.seed`` is not read."""
+
     data_path: str
     out_dir: str
     seed: int = 0
@@ -49,7 +53,6 @@ class ExperimentConfig:
     models: tuple = MODELS
     split: SplitSpec = field(default_factory=SplitSpec)
     gan: GanTrainConfig = field(default_factory=GanTrainConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
     mlp_epochs: int | None = None
     dump_augmented: bool = False
     label_column: str = "Class"
@@ -112,11 +115,10 @@ def _train_generator(config: ExperimentConfig, train_scaled):
 
 def _train_one(mode, model_name, train_set, test_set, config):
     started = time.perf_counter()
-    train_cfg = dataclasses.replace(
-        config.train, seed=derive_seed(config.seed, f"classifier:{mode}:{model_name}")
+    train_cfg = TrainConfig(
+        epochs=config.mlp_epochs if model_name == "mlp" else None,
+        seed=derive_seed(config.seed, f"classifier:{mode}:{model_name}"),
     )
-    if model_name == "mlp" and config.mlp_epochs is not None:
-        train_cfg = dataclasses.replace(train_cfg, epochs=config.mlp_epochs)
     try:
         model = _TRAINERS[model_name](train_set, train_cfg)
         scores = classifiers.predict_score(model, test_set.features)
@@ -165,6 +167,7 @@ def run(config: ExperimentConfig) -> list:
                 rng = np.random.default_rng(derive_seed(config.seed, "oversample"))
                 train_set = augment.random_oversample(train_scaled, rng)
             else:
+                augment.gan_deficit(train_scaled)  # fail before training the GAN
                 generator, gan_log, rng = _train_generator(config, train_scaled)
                 train_set = augment.gan_augment(train_scaled, generator, rng)
         except GanBalanceError as exc:

@@ -1,13 +1,14 @@
 """Adversarial training of a minority-class sample generator.
 
-The generator maps 100-dimensional noise through two ReLU hidden layers (100
-units, then one per output feature), batch normalization, and a sigmoid output
-so samples land in (0,1) like the min-max-scaled data.  The discriminator is
-three 36-unit sigmoid layers, each followed by 20% dropout, and a sigmoid
-output.  Each epoch performs one discriminator update (real rows labeled 1,
-generated rows labeled 0, binary cross-entropy) followed by one generator
-update through the frozen discriminator using the non-saturating loss (fakes
-scored against label 1).  Both sides use Adam at the same learning rate.
+The generator maps 100-dimensional standard-normal noise through two ReLU
+hidden layers (100 units, then one per output feature), batch normalization,
+and a sigmoid output so samples land in (0,1) like the min-max-scaled data.
+The discriminator is three 36-unit sigmoid layers, each followed by 20%
+dropout, and a sigmoid output.  Each epoch performs one discriminator update
+(real rows labeled 1, generated rows labeled 0, binary cross-entropy) followed
+by one generator update through the frozen discriminator using the
+non-saturating loss (fakes scored against label 1).  Both sides use Adam at
+the same learning rate.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class GanTrainConfig:
     batch_size: int = 64  # capped at the number of positive rows
     seed: int = 0
     log_every: int = 1
-    noise_distribution: str = "normal"  # or "uniform"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -45,8 +45,6 @@ class GanTrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
-        if self.noise_distribution not in ("normal", "uniform"):
-            raise ValueError(f"unknown noise distribution {self.noise_distribution!r}")
 
 
 @dataclass
@@ -64,15 +62,6 @@ class GanTrainingLog:
 
     def __len__(self) -> int:
         return len(self.epochs)
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A trained generator network and the noise it was trained on; its
-    noise dimension is ``network.spec[0].input_dim``."""
-
-    network: nn.Network
-    noise_distribution: str
 
 
 def generator_spec(feature_dim: int = 30):
@@ -96,27 +85,16 @@ def discriminator_spec(feature_dim: int = 30):
     return spec
 
 
-def sample_noise(
-    n: int,
-    rng: np.random.Generator,
-    dim: int = NOISE_DIM,
-    distribution: str = "normal",
-) -> np.ndarray:
+def sample_noise(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows of NOISE_DIM standard normals: the generator's input."""
     if n < 1:
         raise PreconditionError("need at least one noise row")
-    if distribution == "normal":
-        return rng.standard_normal((n, dim))
-    if distribution == "uniform":
-        return rng.random((n, dim))
-    raise ValueError(f"unknown noise distribution {distribution!r}")
+    return rng.standard_normal((n, NOISE_DIM))
 
 
-def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[Generator, GanTrainingLog]:
-    """Train the adversarial pair on minority rows.
-
-    Returns the trained generator, which carries the config's noise
-    distribution, and the per-epoch log.
-    """
+def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, GanTrainingLog]:
+    """Train the adversarial pair on minority rows; returns the generator
+    network and the per-epoch log."""
     x = positives.features
     if x.shape[0] < 2:
         raise PreconditionError("need at least 2 minority rows to train")
@@ -129,7 +107,6 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[Generator, Ga
     rng = np.random.default_rng(config.seed)
     gen = nn.init_network(generator_spec(feature_dim), rng, config.learning_rate)
     disc = nn.init_network(discriminator_spec(feature_dim), rng, config.learning_rate)
-    dist = config.noise_distribution
 
     n = x.shape[0]
     batch = min(config.batch_size, n)
@@ -141,14 +118,14 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[Generator, Ga
     for epoch in range(1, config.epochs + 1):
         # discriminator step: real batch vs freshly generated batch
         real = x[rng.choice(n, size=batch, replace=False)]
-        fake, _ = nn.forward(gen, sample_noise(batch, rng, NOISE_DIM, dist), mode="train")
+        fake, _ = nn.forward(gen, sample_noise(batch, rng), mode="train")
         disc_out, disc_cache = nn.forward(disc, np.vstack([real, fake]), mode="train", rng=rng)
         disc_loss = nn.loss_bce(disc_out, disc_targets)
         disc_acc = float(np.mean((disc_out > 0.5).astype(np.int64) == disc_targets))
         nn.adam_step(disc, nn.backward(disc, disc_cache, disc_targets))
 
         # generator step: push fakes toward the discriminator's "real" label
-        fake, gen_cache = nn.forward(gen, sample_noise(batch, rng, NOISE_DIM, dist), mode="train")
+        fake, gen_cache = nn.forward(gen, sample_noise(batch, rng), mode="train")
         disc_out, disc_cache = nn.forward(disc, fake, mode="train", rng=rng)
         gen_loss = nn.loss_bce(disc_out, real_labels)
         to_fake = nn.input_gradient(disc, disc_cache, real_labels)
@@ -157,21 +134,18 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[Generator, Ga
         if epoch % config.log_every == 0 or epoch == config.epochs:
             log.append(epoch, gen_loss, disc_loss, disc_acc)
 
-    return Generator(gen, dist), log
+    return gen, log
 
 
-def generate(generator: Generator, n: int, rng: np.random.Generator) -> np.ndarray:
+def generate(network: nn.Network, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample n synthetic minority rows; every value is strictly in (0, 1).
 
-    Draws noise from the generator's own distribution and runs in inference
-    mode (no dropout, running batchnorm statistics), so the output depends
-    only on the generator and the rng.
+    Runs the generator network in inference mode (no dropout, running
+    batchnorm statistics), so the output depends only on it and the rng.
     """
     if n < 1:
         raise PreconditionError("need n >= 1 generated rows")
-    network = generator.network
-    noise = sample_noise(n, rng, network.spec[0].input_dim, generator.noise_distribution)
-    out, _ = nn.forward(network, noise, mode="infer")
+    out, _ = nn.forward(network, sample_noise(n, rng), mode="infer")
     # sigmoid saturates to exactly 0.0/1.0 in float64 for |z| > ~37; nudge
     # back inside the open interval the downstream contract expects
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))

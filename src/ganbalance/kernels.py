@@ -102,22 +102,14 @@ def adam_update(param, grad, m, v, work, work2, c1, c2, lr, beta1, beta2, eps):
 # (and exact in float64) up to roughly 1.6M rows, far beyond any input here.
 
 
-def split_scan(values, labels, min_leaf):
+def split_scan(values, labels):
     n = values.shape[0]
-    if n < 2:
-        return -1.0, 0.0, False
     total_pos = int(labels.sum())
     boundaries = np.nonzero(values[:-1] != values[1:])[0]
     if boundaries.size == 0:
         return -1.0, 0.0, False
     nl = boundaries + 1
     nr = n - nl
-    keep = (nl >= min_leaf) & (nr >= min_leaf)
-    if not keep.any():
-        return -1.0, 0.0, False
-    boundaries = boundaries[keep]
-    nl = nl[keep]
-    nr = nr[keep]
     pl = np.cumsum(labels)[boundaries]
     ql = nl - pl
     pr = total_pos - pl

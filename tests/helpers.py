@@ -60,12 +60,11 @@ def random_network_case(rng: np.random.Generator, loss_kind: str, hidden_kinds=N
     return net, x, targets
 
 
-def fresh_generator(feature_dim: int, seed: int = 0) -> gan.Generator:
-    """An untrained normal-noise generator with Glorot weights drawn from ``seed``."""
-    network = nn.init_network(
+def fresh_generator(feature_dim: int, seed: int = 0) -> nn.Network:
+    """An untrained generator network with Glorot weights drawn from ``seed``."""
+    return nn.init_network(
         gan.generator_spec(feature_dim), np.random.default_rng(seed), learning_rate=1e-5
     )
-    return gan.Generator(network, "normal")
 
 
 def gaussian_blobs(

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ganbalance import kernels
 from ganbalance.classifiers import TreeNode
 from ganbalance.errors import CsvParseError, SchemaError
 
@@ -321,7 +320,7 @@ def per_cell_load_csv(path, label_column: str = "Class", parse_cell=float):
 
 def per_node_argsort_tree(x, y, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
     """CART grown by stable-argsorting every column at every node and
-    copying each child's rows, with the library's split scan."""
+    copying each child's rows, with ``split_scan_loop``."""
     n = len(y)
     n_pos = int(np.sum(y))
     prob = n_pos / n
@@ -330,9 +329,7 @@ def per_node_argsort_tree(x, y, depth: int, max_depth: int, min_leaf: int) -> Tr
     best_score, best_feature, best_threshold = -1.0, -1, 0.0
     for j in range(x.shape[1]):
         order = np.argsort(x[:, j], kind="stable")
-        score, threshold, found = kernels.split_scan(
-            np.ascontiguousarray(x[order, j]), np.ascontiguousarray(y[order]), min_leaf
-        )
+        score, threshold, found = split_scan_loop(x[order, j], y[order], min_leaf)
         if found and score > best_score:
             best_score, best_feature, best_threshold = score, j, float(threshold)
     if best_feature < 0:

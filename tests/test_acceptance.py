@@ -134,7 +134,7 @@ def test_c3_root_splits_match_exhaustive_gini(capsys):
         d = int(rng.integers(1, 5))
         x = rng.integers(0, 4, size=(n, d)).astype(np.float64)
         y = rng.integers(0, 2, size=n).astype(np.int64)
-        config = TrainConfig(max_depth=1, min_leaf=1, seed=0)
+        config = TrainConfig(max_depth=1, seed=0)
         root = train_tree(Dataset(x, y), config).root
         expected = None if len(np.unique(y)) < 2 else brute_force_best_split(x, y, 1)
         if expected is None:

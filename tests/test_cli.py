@@ -13,7 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ganbalance import experiment, gan
 from ganbalance.cli import build_parser, main
+from ganbalance.data import SplitSpec
+from ganbalance.gan import GanTrainConfig
 from helpers import gaussian_blobs, write_dataset_csv
 
 SPLIT_FLAGS = [
@@ -106,6 +109,62 @@ def test_partial_failure_exits_three(corpus, tmp_path, capsys):
     assert code == 3
     assert "partial outputs written to" in captured.err
     assert (tmp_path / "metrics.csv").exists()
+
+
+def test_nothing_to_balance_exits_three_without_training_the_gan(
+    corpus, tmp_path, capsys, monkeypatch
+):
+    # 20 positives and 20 negatives in training: the gan mode has no deficit
+    def refuse(*args, **kwargs):
+        raise AssertionError("train_gan called")
+
+    monkeypatch.setattr(gan, "train_gan", refuse)
+    code = main(
+        ["run", "--data", str(corpus), "--out", str(tmp_path),
+         "--modes", "raw,gan", "--models", "dt",
+         "--train-size", "40", "--test-size", "100",
+         "--train-pos", "20", "--test-pos", "10"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "NothingToBalanceError" in captured.err
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert rows[2] == ("gan,dt,,,,,,,error: NothingToBalanceError: "
+                       "positives (20) already >= negatives (20)")
+    assert not (tmp_path / "gan_training_log.csv").exists()
+
+
+def test_cli_and_library_write_identical_outputs(tmp_path, capsys):
+    # every run flag away from its default, and both tuples out of canonical order
+    data = tmp_path / "data.csv"
+    write_dataset_csv(gaussian_blobs(np.random.default_rng(19), n_pos=40, n_neg=260, dim=4),
+                      data, label_column="y")
+    assert main(
+        ["run", "--data", str(data), "--out", str(tmp_path / "cli"), "--seed", "4",
+         "--modes", "gan,raw,oversample", "--models", "mlp,dt,svm,logreg",
+         "--gan-epochs", "9", "--gan-lr", "2e-4", "--gan-batch", "12",
+         "--gan-log-every", "4", "--mlp-epochs", "3", "--dump-augmented",
+         "--label-column", "y", *SPLIT_FLAGS]
+    ) == 0
+    capsys.readouterr()
+    experiment.run(experiment.ExperimentConfig(
+        data_path=str(data),
+        out_dir=str(tmp_path / "lib"),
+        seed=4,
+        modes=("gan", "raw", "oversample"),
+        models=("mlp", "dt", "svm", "logreg"),
+        split=SplitSpec(train_size=150, test_size=100, train_positives=20,
+                        test_positives=10),
+        gan=GanTrainConfig(epochs=9, learning_rate=2e-4, batch_size=12, log_every=4),
+        mlp_epochs=3,
+        dump_augmented=True,
+        label_column="y",
+    ))
+    cli_files = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert cli_files == sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert len(cli_files) == 16
+    for name in cli_files:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 def test_seed_flag_changes_outputs(corpus, tmp_path, capsys):

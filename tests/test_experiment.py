@@ -286,7 +286,7 @@ def test_gan_mode_samples_with_the_configured_noise(corpus, tmp_path):
         modes=("gan",),
         models=("dt",),
         split=SPLIT,
-        gan=dataclasses.replace(GAN_FAST, noise_distribution="uniform"),
+        gan=GAN_FAST,
         dump_augmented=True,
     )
     run(config)

@@ -46,8 +46,6 @@ def test_config_validation():
         gan.GanTrainConfig(epochs=0)
     with pytest.raises(ValueError):
         gan.GanTrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        gan.GanTrainConfig(noise_distribution="cauchy")
 
 
 @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), float("-inf")])
@@ -72,15 +70,10 @@ def test_sample_noise_shape_and_determinism():
 
 
 def test_sample_noise_moments():
-    draws = gan.sample_noise(1000, np.random.default_rng(3), dim=100)
+    draws = gan.sample_noise(1000, np.random.default_rng(3))
     flat = draws.ravel()  # 1e5 samples
     assert abs(flat.mean()) < 0.02
     assert abs(flat.var() - 1.0) < 0.02
-
-
-def test_sample_noise_uniform_mode():
-    draws = gan.sample_noise(100, np.random.default_rng(4), dim=10, distribution="uniform")
-    assert draws.min() >= 0.0 and draws.max() < 1.0
 
 
 def test_train_single_epoch_smoke():
@@ -90,8 +83,7 @@ def test_train_single_epoch_smoke():
     assert log.epochs == [1]
     assert np.isfinite(log.gen_loss[0]) and np.isfinite(log.disc_loss[0])
     assert 0.0 <= log.disc_acc[0] <= 1.0
-    assert isinstance(generator.network, nn.Network)
-    assert generator.noise_distribution == config.noise_distribution
+    assert isinstance(generator, nn.Network)
 
 
 def test_update_alternation_via_hook(monkeypatch):
@@ -117,7 +109,7 @@ def test_training_deterministic_under_seed():
     config = gan.GanTrainConfig(epochs=30, seed=7)
     gen_a, log_a = gan.train_gan(_minority(n=25, dim=4), config)
     gen_b, log_b = gan.train_gan(_minority(n=25, dim=4), config)
-    for a, b in zip(gen_a.network.parameter_arrays(), gen_b.network.parameter_arrays()):
+    for a, b in zip(gen_a.parameter_arrays(), gen_b.parameter_arrays()):
         assert np.array_equal(a, b)
     assert log_a.gen_loss == log_b.gen_loss
     assert log_a.disc_acc == log_b.disc_acc
@@ -156,14 +148,12 @@ def test_generate_deterministic_regardless_of_intervening_calls():
     assert np.array_equal(first, second)
 
 
-@pytest.mark.parametrize("distribution", ["normal", "uniform"])
-def test_generate_samples_with_the_trained_noise(distribution):
-    config = gan.GanTrainConfig(epochs=3, seed=18, noise_distribution=distribution)
+def test_generate_samples_with_the_trained_noise():
+    config = gan.GanTrainConfig(epochs=3, seed=18)
     generator, _ = gan.train_gan(_minority(n=12, dim=3), config)
-    assert generator.noise_distribution == distribution
     samples = gan.generate(generator, 6, np.random.default_rng(19))
-    noise = gan.sample_noise(6, np.random.default_rng(19), distribution=distribution)
-    expected, _ = nn.forward(generator.network, noise, mode="infer")
+    noise = np.random.default_rng(19).standard_normal((6, gan.NOISE_DIM))
+    expected, _ = nn.forward(generator, noise, mode="infer")
     assert np.array_equal(samples, expected)
 
 
