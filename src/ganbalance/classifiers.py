@@ -80,11 +80,6 @@ class DecisionTreeModel:
     n_features: int
 
 
-@dataclass
-class MlpModel:
-    network: nn.Network
-
-
 def mlp_spec(input_dim: int):
     """Two hidden layers (relu, then sigmoid) into a 2-way softmax."""
     hidden = MLP_HIDDEN
@@ -117,7 +112,8 @@ def _train_network(spec, x, targets, config: TrainConfig, default_lr, default_ep
     for _ in range(config.epochs or default_epochs):
         for idx in _epoch_batches(len(targets), config.batch_size, rng):
             _, cache = nn.forward(net, x[idx], mode="train")
-            nn.adam_step(net, nn.backward(net, cache, targets[idx]))
+            nn.backward(cache, targets[idx])
+            nn.adam_step(net)
     return net
 
 
@@ -224,14 +220,14 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
     return DecisionTreeModel(root, x.shape[1])
 
 
-def train_mlp(data: Dataset, config: TrainConfig) -> MlpModel:
+def train_mlp(data: Dataset, config: TrainConfig) -> nn.Network:
     """Adam on categorical cross-entropy of the 2-way softmax output."""
     _require_two_classes(data.labels, "MLP")
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     n = x.shape[0]
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), data.labels] = 1.0
-    return MlpModel(_train_network(mlp_spec(x.shape[1]), x, onehot, config, MLP_LR, MLP_EPOCHS))
+    return _train_network(mlp_spec(x.shape[1]), x, onehot, config, MLP_LR, MLP_EPOCHS)
 
 
 def _tree_scores(node: TreeNode, x: np.ndarray, idx: np.ndarray, out: np.ndarray):
@@ -262,8 +258,8 @@ def predict_score(model, X) -> np.ndarray:
         out = np.empty(x.shape[0])
         _tree_scores(model.root, x, np.arange(x.shape[0]), out)
         return out
-    if isinstance(model, MlpModel):
-        _check_width(x, model.network.spec[0].input_dim)
-        probs, _ = nn.forward(model.network, x, mode="infer")
+    if isinstance(model, nn.Network):
+        _check_width(x, model.spec[0].input_dim)
+        probs, _ = nn.forward(model, x, mode="infer")
         return probs[:, 1]
     raise TypeError(f"unknown model type {type(model).__name__}")

@@ -67,18 +67,6 @@ class SplitSpec:
                                  f"between 0 and {side}_size (--{side}-size), {size}")
 
 
-@dataclass
-class StandardScalerParams:
-    mean: np.ndarray
-    std: np.ndarray  # population (biased) standard deviation
-
-
-@dataclass
-class MinMaxParams:
-    min: np.ndarray
-    max: np.ndarray
-
-
 DEGENERATE_EPS = 1e-12
 
 
@@ -90,7 +78,7 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
     non-finite cells, blank lines and ragged rows, and SchemaError for a
     missing label column or non-binary labels.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -174,7 +162,7 @@ def _raise_first_bad_cell(path, n_columns: int, label_idx: int) -> None:
     """Re-read the file cell by cell and raise the error of the first row or
     cell, in file order, that breaks the input rules.  Returns only when
     every row follows them."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row_pos, row in enumerate(reader, start=2):
@@ -274,37 +262,14 @@ def stratified_split(
     return train, test
 
 
-def fit_standard(train: Dataset) -> StandardScalerParams:
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)  # ddof=0, population convention
-    return StandardScalerParams(mean, std)
-
-
-def apply_standard(params: StandardScalerParams, data: Dataset) -> Dataset:
-    divisor = np.where(params.std < DEGENERATE_EPS, 1.0, params.std)
-    scaled = (data.features - params.mean) / divisor
-    return Dataset(scaled, data.labels.copy())
-
-
-def fit_minmax(train: Dataset) -> MinMaxParams:
-    return MinMaxParams(train.features.min(axis=0), train.features.max(axis=0))
-
-
-def apply_minmax(params: MinMaxParams, data: Dataset) -> Dataset:
-    span = params.max - params.min
-    degenerate = span < DEGENERATE_EPS
-    divisor = np.where(degenerate, 1.0, span)
-    scaled = (data.features - params.min) / divisor
-    scaled[:, degenerate] = 0.0
-    scaled = np.clip(scaled, 0.0, 1.0)
-    return Dataset(scaled, data.labels.copy())
-
-
 def scale_train_test(
     train: Dataset, test: Dataset, feature_names: list
 ) -> tuple[Dataset, Dataset]:
-    """Fit both scalers on train, apply them to both sides; returns
-    (train_scaled, test_scaled).
+    """Standardize both sides by the train mean and population standard
+    deviation, then min-max scale them by the standardized train range and
+    clip to [0, 1]; returns (train_scaled, test_scaled).  A column whose train
+    deviation is below DEGENERATE_EPS is only centred; one whose standardized
+    train range is below it maps to 0.
 
     Raises SchemaError naming the first column whose train mean or standard
     deviation overflows float64.  With both finite every standardized train
@@ -312,17 +277,28 @@ def scale_train_test(
     min-max stage clamps to 1 or 0 like any value outside the train range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        std_params = fit_standard(train)
-    finite = np.isfinite(std_params.mean) & np.isfinite(std_params.std)
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)  # ddof=0, population convention
+    finite = np.isfinite(mean) & np.isfinite(std)
     if not finite.all():
         name = feature_names[int(np.argmin(finite))]
         raise SchemaError(f"column {name!r}: its train mean or standard deviation "
                           "overflows float64, so it cannot be standardized")
-    train_std = apply_standard(std_params, train)
+    divisor = np.where(std < DEGENERATE_EPS, 1.0, std)
+    train_std = (train.features - mean) / divisor
     with np.errstate(over="ignore"):
-        test_std = apply_standard(std_params, test)
-    mm_params = fit_minmax(train_std)
-    return apply_minmax(mm_params, train_std), apply_minmax(mm_params, test_std)
+        test_std = (test.features - mean) / divisor
+    low = train_std.min(axis=0)
+    span = train_std.max(axis=0) - low
+    degenerate = span < DEGENERATE_EPS
+    width = np.where(degenerate, 1.0, span)
+
+    def to_unit(features, labels):
+        scaled = (features - low) / width
+        scaled[:, degenerate] = 0.0
+        return Dataset(np.clip(scaled, 0.0, 1.0), labels.copy())
+
+    return to_unit(train_std, train.labels), to_unit(test_std, test.labels)
 
 
 def write_csv(path, header, row_format: str, rows) -> None:

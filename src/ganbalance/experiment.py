@@ -74,7 +74,7 @@ class RunResult:
     model: str
     report: metrics.MetricsReport | None
     seconds: float
-    roc: metrics.RocCurve | None = None
+    roc: np.ndarray | None = None  # (fpr, tpr) rows, see metrics.roc_auc
     error: str | None = None
 
 
@@ -251,7 +251,7 @@ def emit_outputs(results: list, out_dir) -> None:
     for r in results:
         if r.roc is not None:
             data.write_csv(out_dir / f"roc_{r.mode}_{r.model}.csv", ["fpr", "tpr"],
-                           "%.9f,%.9f\n", r.roc.points)
+                           "%.9f,%.9f\n", r.roc)
 
 
 def _write_augmented_csv(augmented: augment.AugmentedDataset, path) -> None:

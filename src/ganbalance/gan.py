@@ -122,14 +122,15 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, G
         disc_out, disc_cache = nn.forward(disc, np.vstack([real, fake]), mode="train", rng=rng)
         disc_loss = nn.loss_bce(disc_out, disc_targets)
         disc_acc = float(np.mean((disc_out > 0.5).astype(np.int64) == disc_targets))
-        nn.adam_step(disc, nn.backward(disc, disc_cache, disc_targets))
+        nn.backward(disc_cache, disc_targets)
+        nn.adam_step(disc)
 
         # generator step: push fakes toward the discriminator's "real" label
         fake, gen_cache = nn.forward(gen, sample_noise(batch, rng), mode="train")
         disc_out, disc_cache = nn.forward(disc, fake, mode="train", rng=rng)
         gen_loss = nn.loss_bce(disc_out, real_labels)
-        to_fake = nn.input_gradient(disc, disc_cache, real_labels)
-        nn.adam_step(gen, nn.backward_from(gen, gen_cache, to_fake))
+        nn.backward_from(gen_cache, nn.input_gradient(disc_cache, real_labels))
+        nn.adam_step(gen)
 
         if epoch % config.log_every == 0 or epoch == config.epochs:
             log.append(epoch, gen_loss, disc_loss, disc_acc)

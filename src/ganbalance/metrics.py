@@ -37,13 +37,6 @@ class MetricsReport:
     auc_roc: float
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    """(fpr, tpr) pairs from (0,0) to (1,1), non-decreasing in both."""
-
-    points: np.ndarray  # (k, 2)
-
-
 def _check_binary(name: str, values: np.ndarray) -> None:
     if not np.all((values == 0) | (values == 1)):
         raise PreconditionError(f"{name} must contain only 0 and 1")
@@ -82,8 +75,9 @@ def compute_metrics(cm: ConfusionMatrix, auc: float) -> MetricsReport:
     )
 
 
-def roc_auc(y_true, scores) -> tuple[RocCurve, float]:
-    """ROC curve and trapezoidal AUC; raises when truth has a single class."""
+def roc_auc(y_true, scores) -> tuple[np.ndarray, float]:
+    """ROC curve, (k, 2) (fpr, tpr) rows from (0,0) to (1,1) non-decreasing in
+    both, and trapezoidal AUC; raises when truth has a single class."""
     t = np.asarray(y_true)
     s = np.asarray(scores, dtype=np.float64)
     if t.shape != s.shape or t.ndim != 1:
@@ -105,4 +99,4 @@ def roc_auc(y_true, scores) -> tuple[RocCurve, float]:
     fpr = np.concatenate([[0.0], fpr])
     tpr = np.concatenate([[0.0], tpr])
     auc = float(np.trapezoid(tpr, fpr))
-    return RocCurve(points=np.column_stack([fpr, tpr])), auc
+    return np.column_stack([fpr, tpr]), auc

@@ -3,8 +3,11 @@
 A network is described by a flat list of :class:`LayerSpec` entries (dense,
 relu, sigmoid, softmax, batchnorm, dropout) and held as one :class:`Network`
 value: the validated spec, the learned parameters mirroring it
-layer-for-layer, and the Adam state.  Everything runs in float64; training is
-deterministic given the caller's seeded generator.
+layer-for-layer, their gradients and the Adam state.  One training step is
+``forward(net, x, "train")``, whose cache records ``net``; then
+``backward(cache, targets)``, which writes the gradients into ``net``; then
+``adam_step(net)``, which applies them.  Everything runs in float64; training
+is deterministic given the caller's seeded generator.
 """
 
 from __future__ import annotations
@@ -97,50 +100,19 @@ class BatchNormParams:
     running_var: np.ndarray
 
 
-@dataclass(frozen=True)
-class DenseGrads:
-    weights: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass(frozen=True)
-class BatchNormGrads:
-    gamma: np.ndarray
-    beta: np.ndarray
-
-
-@dataclass
-class Gradients:
-    """Per-parameter gradients mirroring a Network, as views into ``flat``
-    laid out as the network's.  Each network owns one, which :func:`backward`
-    and :func:`backward_from` overwrite and return."""
-
-    layers: list
-    flat: np.ndarray
-
-    def parameter_arrays(self) -> list[np.ndarray]:
-        return _parameter_arrays(self.layers)
-
-
-def _parameter_arrays(entries) -> list[np.ndarray]:
-    out = []
-    for entry in entries:
-        if isinstance(entry, (DenseParams, DenseGrads)):
-            out.extend((entry.weights, entry.bias))
-        elif isinstance(entry, (BatchNormParams, BatchNormGrads)):
-            out.extend((entry.gamma, entry.beta))
-    return out
-
-
 @dataclass(eq=False)
 class Network:
-    """One trainable network: its spec, its parameters and its Adam state.
+    """One trainable network: its spec, its parameters, their gradients and
+    its Adam state.
 
     ``layers`` holds one entry per spec layer (None for stateless layers).
     Every Adam-trained array (dense weights/bias, batchnorm gamma/beta) is a
-    view into ``flat``, one float64 vector in ``parameter_arrays()`` order;
-    the Adam moments, gradient buffer and Adam scratch are the same size.
-    Build it with :func:`init_network`, which validates the spec.
+    view into ``flat``, one float64 vector in ``parameter_arrays()`` order.
+    ``grads`` is laid out as ``flat``: :func:`backward` and
+    :func:`backward_from` overwrite it through ``grad_layers``, one pair of
+    views per trained layer (None elsewhere), and :func:`adam_step` reads it.
+    The Adam moments and scratch are the same size.  Build it with
+    :func:`init_network`, which validates the spec.
     """
 
     spec: tuple
@@ -150,12 +122,19 @@ class Network:
     first_moment: np.ndarray
     second_moment: np.ndarray
     has_dropout: bool
-    grads: Gradients
+    grads: np.ndarray
+    grad_layers: tuple
     adam_scratch: tuple
     step_count: int = 0
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        return _parameter_arrays(self.layers)
+        out = []
+        for entry in self.layers:
+            if isinstance(entry, DenseParams):
+                out.extend((entry.weights, entry.bias))
+            elif isinstance(entry, BatchNormParams):
+                out.extend((entry.gamma, entry.beta))
+        return out
 
 
 def _trained_size(layer: LayerSpec) -> int:
@@ -176,8 +155,8 @@ def init_network(spec, rng: np.random.Generator, learning_rate: float) -> Networ
     spec = tuple(spec)
     validate_spec(spec)
     flat = np.empty(sum(_trained_size(layer) for layer in spec))
-    grads = Gradients([], np.zeros_like(flat))
-    layers, end = [], 0
+    grads = np.zeros_like(flat)
+    layers, grad_layers, end = [], [], 0
     for layer in spec:
         end += _trained_size(layer)
         if layer.kind == "dense":
@@ -186,20 +165,20 @@ def init_network(spec, rng: np.random.Generator, learning_rate: float) -> Networ
             limit = np.sqrt(6.0 / (layer.input_dim + layer.output_dim))
             weights[...], bias[...] = rng.uniform(-limit, limit, size=shape), 0.0
             layers.append(DenseParams(weights, bias))
-            grads.layers.append(DenseGrads(*_views(grads.flat, end, shape, layer.output_dim)))
+            grad_layers.append(_views(grads, end, shape, layer.output_dim))
         elif layer.kind == "batchnorm":
             d = layer.input_dim
             gamma, beta = _views(flat, end, (d,), d)
             gamma[...], beta[...] = 1.0, 0.0
             layers.append(BatchNormParams(gamma, beta, np.zeros(d), np.ones(d)))
-            grads.layers.append(BatchNormGrads(*_views(grads.flat, end, (d,), d)))
+            grad_layers.append(_views(grads, end, (d,), d))
         else:
             layers.append(None)
-            grads.layers.append(None)
+            grad_layers.append(None)
     has_dropout = any(layer.kind == "dropout" for layer in spec)
     return Network(spec, tuple(layers), flat, learning_rate,
                    np.zeros_like(flat), np.zeros_like(flat), has_dropout,
-                   grads, (np.empty_like(flat), np.empty_like(flat)))
+                   grads, tuple(grad_layers), (np.empty_like(flat), np.empty_like(flat)))
 
 
 @dataclass
@@ -304,26 +283,25 @@ def _softmax_backward(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return y * (delta - inner)
 
 
-def _check_cache(net: Network, cache: ForwardCache) -> None:
+def _check_cache(cache: ForwardCache) -> None:
     if cache.mode != "train":
         raise ConsistencyError("backward requires a cache from a train-mode forward")
-    if cache.network is not net:
-        raise ConsistencyError("cache was made by another network's forward")
 
 
-def _walk_backward(net: Network, cache: ForwardCache, delta, start, grads):
+def _walk_backward(cache: ForwardCache, delta, start, fill: bool):
     """Backpropagate ``delta`` from layer ``start`` to the input.  With
-    ``grads``, write every parameter gradient into it, skip layer 0's input
-    gradient and return it; with None, return only the input gradient."""
+    ``fill``, write every parameter gradient into the network's
+    ``grad_layers`` and skip layer 0's input gradient; without, return only
+    the input gradient."""
+    net = cache.network
     for i in range(start, -1, -1):
         layer = net.spec[i]
         entry = cache.layer_data[i]
-        out = None if grads is None else grads.layers[i]
+        out = net.grad_layers[i] if fill else (None, None)
         if layer.kind == "dense":
-            d_w, d_b = (None, None) if out is None else (out.weights, out.bias)
             delta = kernels.dense_backward(
                 entry[1], np.ascontiguousarray(delta), net.layers[i].weights,
-                d_w, d_b, out is None or i > 0,
+                *out, not fill or i > 0,
             )
         elif layer.kind == "relu":
             delta = kernels.relu_backward(entry[1], delta)
@@ -332,24 +310,23 @@ def _walk_backward(net: Network, cache: ForwardCache, delta, start, grads):
         elif layer.kind == "softmax":
             delta = _softmax_backward(entry[1], delta)
         elif layer.kind == "batchnorm":
-            d_gamma, d_beta = (None, None) if out is None else (out.gamma, out.beta)
             delta, _, _ = kernels.batchnorm_backward(
                 np.ascontiguousarray(delta), entry[1], net.layers[i].gamma, entry[2],
-                BATCHNORM_EPS, d_gamma, d_beta,
+                BATCHNORM_EPS, *out,
             )
         elif layer.kind == "dropout":
             delta = delta * entry[1]
-    return delta if grads is None else grads
+    return delta
 
 
-def _loss_delta(net: Network, cache: ForwardCache, targets) -> np.ndarray:
+def _loss_delta(cache: ForwardCache, targets) -> np.ndarray:
     """d(mean loss)/d(input of the last layer), as :func:`backward` defines the loss."""
-    _check_cache(net, cache)
+    _check_cache(cache)
     t = np.asarray(targets, dtype=np.float64)
     p = cache.output
     if p.shape != t.shape:
         raise ShapeError(f"prediction shape {p.shape} != target shape {t.shape}")
-    last = net.spec[-1].kind
+    last = cache.network.spec[-1].kind
     if last == "sigmoid":
         return (p - t) / p.size
     if last == "softmax":
@@ -357,48 +334,48 @@ def _loss_delta(net: Network, cache: ForwardCache, targets) -> np.ndarray:
     raise ConsistencyError(f"backward needs a final sigmoid or softmax layer, not {last!r}")
 
 
-def backward(net: Network, cache: ForwardCache, targets) -> Gradients:
-    """Gradients of the mean loss for every parameter.
+def backward(cache: ForwardCache, targets) -> None:
+    """Gradients of the mean loss for every parameter of the network that
+    made ``cache``, written into its ``grads``.
 
     The loss follows from the last layer: binary cross-entropy after a
     sigmoid, categorical cross-entropy after a softmax.  Either pair is folded
-    into the numerically stable (prediction - target) form.  Returns
-    ``net.grads``, overwritten in place: the result is valid until the next
-    :func:`backward` or :func:`backward_from` on ``net``.
+    into the numerically stable (prediction - target) form.  ``grads`` holds
+    the result until the next :func:`backward` or :func:`backward_from` on
+    that network.
     """
-    return _walk_backward(net, cache, _loss_delta(net, cache, targets), len(net.spec) - 2,
-                          net.grads)
+    _walk_backward(cache, _loss_delta(cache, targets), len(cache.network.spec) - 2, True)
 
 
-def backward_from(net: Network, cache: ForwardCache, grad_output) -> Gradients:
-    """Backpropagate an upstream gradient (chains networks, e.g. GAN G<-D);
-    returns ``net.grads`` as :func:`backward` does."""
-    _check_cache(net, cache)
+def backward_from(cache: ForwardCache, grad_output) -> None:
+    """Backpropagate an upstream gradient (chains networks, e.g. GAN G<-D)
+    into the network's ``grads``, as :func:`backward` does."""
+    _check_cache(cache)
     delta = np.asarray(grad_output, dtype=np.float64)
     if delta.shape != cache.output.shape:
         raise ShapeError(
             f"upstream gradient shape {delta.shape} != output shape {cache.output.shape}"
         )
-    return _walk_backward(net, cache, delta, len(net.spec) - 1, net.grads)
+    _walk_backward(cache, delta, len(cache.network.spec) - 1, True)
 
 
-def input_gradient(net: Network, cache: ForwardCache, targets) -> np.ndarray:
+def input_gradient(cache: ForwardCache, targets) -> np.ndarray:
     """d(mean loss)/d(input), the loss as in :func:`backward`.  Computes no
-    parameter gradient and leaves ``net.grads`` untouched."""
-    return _walk_backward(net, cache, _loss_delta(net, cache, targets), len(net.spec) - 2, None)
+    parameter gradient and leaves the network's ``grads`` untouched."""
+    return _walk_backward(cache, _loss_delta(cache, targets), len(cache.network.spec) - 2,
+                          False)
 
 
-def adam_step(net: Network, grads: Gradients) -> None:
-    """Apply one bias-corrected Adam update to ``net``'s parameters in place.
+def adam_step(net: Network) -> None:
+    """Apply one bias-corrected Adam update of ``net.grads`` to ``net``'s
+    parameters in place.
 
     The whole parameter vector is updated by a single kernel call.
     """
-    if grads.flat.size != net.flat.size:
-        raise ShapeError(f"gradient size {grads.flat.size} != parameter size {net.flat.size}")
     net.step_count += 1
     c1 = 1.0 - ADAM_BETA1**net.step_count
     c2 = 1.0 - ADAM_BETA2**net.step_count
     kernels.adam_update(
-        net.flat, grads.flat, net.first_moment, net.second_moment, *net.adam_scratch,
+        net.flat, net.grads, net.first_moment, net.second_moment, *net.adam_scratch,
         c1, c2, net.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
     )

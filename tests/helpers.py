@@ -11,6 +11,11 @@ from ganbalance.data import Dataset
 HIDDEN_KINDS = ("relu", "sigmoid", "batchnorm", "dropout")
 
 
+def gradient_arrays(net) -> list:
+    """The network's gradient views, in ``parameter_arrays()`` order."""
+    return [g for pair in net.grad_layers if pair is not None for g in pair]
+
+
 def network_loss(net, x, targets, loss_kind, dropout_seed=0):
     """Train-mode forward + loss with a reproducible dropout mask.
 

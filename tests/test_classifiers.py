@@ -172,7 +172,7 @@ def test_mlp_untrained_outputs_near_uniform():
     rng = np.random.default_rng(18)
     from ganbalance import nn
 
-    model = cl.MlpModel(nn.init_network(cl.mlp_spec(4), rng, cl.MLP_LR))
+    model = nn.init_network(cl.mlp_spec(4), rng, cl.MLP_LR)
     scores = cl.predict_score(model, rng.normal(size=(50, 4)) * 0.1)
     assert np.all(np.abs(scores - 0.5) < 0.2)
 
@@ -182,7 +182,7 @@ def test_mlp_deterministic():
     config = cl.TrainConfig(epochs=20, seed=20)
     a = cl.train_mlp(ds, config)
     b = cl.train_mlp(ds, config)
-    for pa, pb in zip(a.network.parameter_arrays(), b.network.parameter_arrays()):
+    for pa, pb in zip(a.parameter_arrays(), b.parameter_arrays()):
         assert np.array_equal(pa, pb)
 
 
@@ -197,7 +197,7 @@ def test_mlp_label_agrees_with_argmax():
     model = cl.train_mlp(ds, cl.TrainConfig(epochs=30, seed=22))
     from ganbalance import nn
 
-    probs, _ = nn.forward(model.network, ds.features, mode="infer")
+    probs, _ = nn.forward(model, ds.features, mode="infer")
     argmax = probs.argmax(axis=1)
     labels = cl.predict_score(model, ds.features) > 0.5
     assert np.array_equal(labels, argmax)

@@ -159,43 +159,54 @@ def test_split_spec_validation():
                 data.SplitSpec(**{f"{side}_size": 100, f"{side}_positives": positives})
 
 
+def _scale(train_column, test_column):
+    """scale_train_test on one feature column; returns the scaled columns."""
+    def side(values):
+        values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+        return data.Dataset(values, np.zeros(len(values), dtype=np.int64))
+
+    train, test = data.scale_train_test(side(train_column), side(test_column), ["x"])
+    return train.features[:, 0], test.features[:, 0]
+
+
 def test_standard_scaler_hand_values():
-    train = data.Dataset(np.array([[1.0], [2.0], [3.0]]), np.zeros(3, dtype=np.int64))
-    params = data.fit_standard(train)
-    assert params.mean[0] == 2.0
-    assert abs(params.std[0] - np.sqrt(2.0 / 3.0)) < 1e-12  # population std
-    out = data.apply_standard(params, train)
-    assert np.allclose(out.features[:, 0], [-1.2247448, 0.0, 1.2247448], atol=1e-6)
+    # mean 2, population std sqrt(2/3): train standardizes to -a, 0, a
+    std = np.sqrt(2.0 / 3.0)
+    a = 1.0 / std
+    train, test = _scale([1.0, 2.0, 3.0], [2.5, 1.5])
+    assert np.array_equal(train, [0.0, 0.5, 1.0])
+    assert np.array_equal(test, ((np.array([2.5, 1.5]) - 2.0) / std + a) / (2.0 * a))
+    assert np.allclose(test, [0.75, 0.25], atol=1e-15)
 
 
 def test_standard_scaler_constant_column_maps_to_zero():
-    train = data.Dataset(np.full((3, 1), 5.0), np.zeros(3, dtype=np.int64))
-    out = data.apply_standard(data.fit_standard(train), train)
-    assert np.array_equal(out.features, np.zeros((3, 1)))
+    # std 0 is not divided by, so no NaN reaches the min-max stage
+    train, test = _scale([5.0, 5.0, 5.0], [7.0, -1.0])
+    assert np.array_equal(train, np.zeros(3))
+    assert np.array_equal(test, np.zeros(2))
 
 
 def test_standard_scaler_centers_train():
     rng = np.random.default_rng(8)
-    train = data.Dataset(rng.normal(3.0, 2.0, size=(50, 4)), np.zeros(50, dtype=np.int64))
-    out = data.apply_standard(data.fit_standard(train), train)
-    assert np.all(np.abs(out.features.mean(axis=0)) < 1e-9)
+    column = rng.normal(3.0, 2.0, size=50)
+    train, test = _scale(column, [column.mean()])
+    z = (column - column.mean()) / column.std()
+    assert np.array_equal(train, (z - z.min()) / (z.max() - z.min()))
+    # the train mean lands where the standardized zero does
+    assert np.array_equal(test, [(0.0 - z.min()) / (z.max() - z.min())])
 
 
 def test_minmax_endpoints_and_clamping():
-    train = data.Dataset(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3, dtype=np.int64))
-    params = data.fit_minmax(train)
-    out = data.apply_minmax(params, train)
-    assert np.array_equal(out.features[:, 0], [0.0, 0.5, 1.0])
-
-    test = data.Dataset(np.array([[2.0], [-5.0]]), np.zeros(2, dtype=np.int64))
-    clamped = data.apply_minmax(params, test)
-    assert np.array_equal(clamped.features[:, 0], [1.0, 0.0])
+    train, clamped = _scale([-1.0, 0.0, 1.0], [2.0, -5.0])
+    assert np.array_equal(train, [0.0, 0.5, 1.0])
+    assert np.array_equal(clamped, [1.0, 0.0])
 
 
 def test_minmax_constant_column_maps_to_zero():
-    train = data.Dataset(np.full((4, 1), 2.5), np.zeros(4, dtype=np.int64))
-    out = data.apply_minmax(data.fit_minmax(train), train)
-    assert np.array_equal(out.features, np.zeros((4, 1)))
+    # a range below DEGENERATE_EPS after standardizing maps to 0, even far outside it
+    train, test = _scale([0.0, 1e-13, 0.0, 1e-13], [1.0])
+    assert np.array_equal(train, np.zeros(4))
+    assert np.array_equal(test, np.zeros(1))
 
 
 def test_full_pipeline_lands_in_unit_interval():
@@ -256,6 +267,15 @@ _STRIPPED_CELLS = ["\x1c1", "\xa01", "\u20031", "1\x85", "0\x1f"]
 @pytest.mark.parametrize("cell", _STRIPPED_CELLS)
 def test_load_csv_rejects_characters_the_c_reader_strips(tmp_path, cell):
     path = _write_bytes(tmp_path, f"a,b,Class\n1.0,2.0,0\n3.0,{cell},1\n")
+    with pytest.raises(CsvParseError) as err:
+        data.load_csv(path)
+    assert (err.value.row, err.value.column) == (3, 2)
+
+
+def test_load_csv_invalid_utf8_byte_names_position(tmp_path):
+    # an undecodable byte breaks the ASCII rule like any non-ASCII character
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"a,b,Class\n1.0,2.0,0\n3.0,1\xff,1\n")
     with pytest.raises(CsvParseError) as err:
         data.load_csv(path)
     assert (err.value.row, err.value.column) == (3, 2)

@@ -91,8 +91,8 @@ def test_update_alternation_via_hook(monkeypatch):
     calls = []
     original = nn.adam_step
 
-    def recorded(net, grads):
-        original(net, grads)
+    def recorded(net):
+        original(net)
         kind = "gen" if net.spec[0].input_dim == gan.NOISE_DIM else "disc"
         calls.append((kind, net.step_count))
 

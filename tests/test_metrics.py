@@ -82,8 +82,8 @@ def test_roc_perfect_and_inverted():
 def test_roc_hand_example():
     curve, auc = metrics.roc_auc([1, 0, 1, 0], [0.9, 0.8, 0.7, 0.1])
     assert auc == 0.75
-    assert tuple(curve.points[0]) == (0.0, 0.0)
-    assert tuple(curve.points[-1]) == (1.0, 1.0)
+    assert tuple(curve[0]) == (0.0, 0.0)
+    assert tuple(curve[-1]) == (1.0, 1.0)
 
 
 def test_roc_curve_is_monotone():
@@ -95,7 +95,7 @@ def test_roc_curve_is_monotone():
             continue
         scores = np.round(rng.random(n), 2)  # rounding forces ties
         curve, _ = metrics.roc_auc(y, scores)
-        diffs = np.diff(curve.points, axis=0)
+        diffs = np.diff(curve, axis=0)
         assert np.all(diffs >= 0.0)
 
 
@@ -120,7 +120,7 @@ def test_auc_invariant_under_monotone_transform():
     curve_a, auc_a = metrics.roc_auc(y, scores)
     curve_b, auc_b = metrics.roc_auc(y, np.exp(3.0 * scores) + 7.0)
     assert abs(auc_a - auc_b) < 1e-12
-    assert np.allclose(curve_a.points, curve_b.points)
+    assert np.allclose(curve_a, curve_b)
 
 
 def test_auc_single_class_is_undefined():

@@ -7,7 +7,7 @@ import pytest
 
 from ganbalance import classifiers, gan, kernels, nn
 from ganbalance.errors import ConsistencyError, PreconditionError, ShapeError
-from helpers import network_loss, random_network_case
+from helpers import gradient_arrays, network_loss, random_network_case
 from oracles import (
     finite_difference_gradients,
     max_relative_error,
@@ -21,9 +21,10 @@ def _network_for(spec, seed=0, learning_rate=0.01):
     return nn.init_network(spec, np.random.default_rng(seed), learning_rate)
 
 
-def _gradient(vector):
-    """A Gradients value holding only a flat vector, as adam_step reads it."""
-    return nn.Gradients(layers=[], flat=np.asarray(vector, dtype=np.float64))
+def _adam_step_with(net, gradient):
+    """One adam_step on ``net`` with its gradient buffer set to ``gradient``."""
+    net.grads[:] = gradient
+    nn.adam_step(net)
 
 
 def test_layerspec_validation():
@@ -171,8 +172,8 @@ def test_backward_zero_loss_gives_zero_gradients():
     net.flat[...] = 0.0
     out, cache = nn.forward(net, [[1.0]], mode="train")
     assert out[0, 0] == 0.5
-    grads = nn.backward(net, cache, [[0.5]])
-    for g in grads.parameter_arrays():
+    nn.backward(cache, [[0.5]])
+    for g in gradient_arrays(net):
         assert np.array_equal(g, np.zeros_like(g))
 
 
@@ -181,16 +182,18 @@ def test_backward_fused_hand_value():
     net.layers[0].weights[...] = 0.0
     net.layers[0].bias[...] = 0.0
     _, cache = nn.forward(net, [[1.0]], mode="train")
-    grads = nn.backward(net, cache, [[1.0]])
-    assert grads.layers[0].weights[0, 0] == -0.5
-    assert grads.layers[0].bias[0] == -0.5
+    nn.backward(cache, [[1.0]])
+    d_weights, d_bias = net.grad_layers[0]
+    assert d_weights[0, 0] == -0.5
+    assert d_bias[0] == -0.5
 
 
-def test_backward_requires_train_cache():
+@pytest.mark.parametrize("entry", ["backward", "backward_from", "input_gradient"])
+def test_backward_requires_train_cache(entry):
     net = _network_for([nn.dense(2, 1), nn.sigmoid(1)])
     _, cache = nn.forward(net, np.zeros((1, 2)), mode="infer")
     with pytest.raises(ConsistencyError):
-        nn.backward(net, cache, [[1.0]])
+        getattr(nn, entry)(cache, [[1.0]])
 
 
 def test_backward_loss_activation_mismatch():
@@ -198,18 +201,8 @@ def test_backward_loss_activation_mismatch():
     net = _network_for([nn.dense(2, 2), nn.relu(2)])
     _, cache = nn.forward(net, np.zeros((1, 2)), mode="train")
     with pytest.raises(ConsistencyError):
-        nn.backward(net, cache, [[1.0, 0.0]])
-    nn.backward_from(net, cache, [[1.0, 0.0]])  # an upstream gradient needs no loss
-
-
-def test_backward_rejects_cache_of_another_network():
-    spec = [nn.dense(2, 1), nn.sigmoid(1)]
-    net, twin = _network_for(spec), _network_for(spec)
-    _, cache = nn.forward(twin, np.zeros((1, 2)), mode="train")
-    with pytest.raises(ConsistencyError):
-        nn.backward(net, cache, [[1.0]])
-    with pytest.raises(ConsistencyError):
-        nn.backward_from(net, cache, [[1.0]])
+        nn.backward(cache, [[1.0, 0.0]])
+    nn.backward_from(cache, [[1.0, 0.0]])  # an upstream gradient needs no loss
 
 
 def test_parameter_fields_cannot_be_rebound():
@@ -228,13 +221,13 @@ def test_gradients_match_finite_differences():
         dropout_seed = trial
 
         out, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(dropout_seed))
-        analytic = nn.backward(net, cache, targets)
+        nn.backward(cache, targets)
 
         def loss():
             return network_loss(net, x, targets, loss_kind, dropout_seed)
 
         fd = finite_difference_gradients(loss, net.parameter_arrays())
-        err = max_relative_error(analytic.parameter_arrays(), fd)
+        err = max_relative_error(gradient_arrays(net), fd)
         assert err < 1e-4, f"trial {trial} ({loss_kind}): rel err {err}"
 
 
@@ -254,14 +247,14 @@ def test_backward_from_matches_finite_differences():
     r = rng.normal(size=(5, 2))
 
     _, cache = nn.forward(net, x, mode="train")
-    analytic = nn.backward_from(net, cache, r)
+    nn.backward_from(cache, r)
 
     def loss():
         out, _ = nn.forward(net, x, mode="train")
         return float(np.sum(out * r))
 
     fd = finite_difference_gradients(loss, net.parameter_arrays())
-    assert max_relative_error(analytic.parameter_arrays(), fd) < 1e-4
+    assert max_relative_error(gradient_arrays(net), fd) < 1e-4
 
 
 def test_input_gradient_matches_finite_differences():
@@ -273,7 +266,7 @@ def test_input_gradient_matches_finite_differences():
     x = rng.normal(size=(4, 2))
     targets = rng.integers(0, 2, size=(4, 2)).astype(np.float64)
     _, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(5))
-    analytic = nn.input_gradient(net, cache, targets)
+    analytic = nn.input_gradient(cache, targets)
 
     [fd] = finite_difference_gradients(
         lambda: network_loss(net, x, targets, "bce", dropout_seed=5), [x]
@@ -287,29 +280,31 @@ def test_input_gradient_leaves_the_gradient_buffer_untouched():
     rng = np.random.default_rng(13)
     x, targets = _train_batch(spec, rng)
     _, cache = nn.forward(net, x, mode="train", rng=rng)
-    before = nn.backward(net, cache, targets).flat.copy()
-    nn.input_gradient(net, cache, 1.0 - targets)
-    assert np.array_equal(net.grads.flat, before)
+    nn.backward(cache, targets)
+    before = net.grads.copy()
+    nn.input_gradient(cache, 1.0 - targets)
+    assert np.array_equal(net.grads, before)
 
 
-def test_backward_returns_the_network_s_own_buffer():
+def test_backward_overwrites_the_network_s_own_buffer():
     spec = classifiers.mlp_spec(10)
     net = _network_for(spec, seed=14)
+    buffer = net.grads
     rng = np.random.default_rng(15)
-    returned, values = [], []
+    values = []
     for _ in range(2):
         x, targets = _train_batch(spec, rng)
         _, cache = nn.forward(net, x, mode="train")
-        returned.append(nn.backward(net, cache, targets))
-        values.append(returned[-1].flat.copy())
-    assert returned[0] is returned[1] is net.grads
+        assert nn.backward(cache, targets) is None
+        values.append(net.grads.copy())
+    assert net.grads is buffer
     assert not np.array_equal(values[0], values[1])  # overwritten in place
 
 
 def test_adam_zero_gradient_is_noop():
     net = _network_for([nn.dense(2, 1)], learning_rate=0.1)
     net.flat[:] = [1.0, -2.0, 3.0]
-    nn.adam_step(net, _gradient(np.zeros(3)))
+    _adam_step_with(net, np.zeros(3))
     assert np.array_equal(net.flat, [1.0, -2.0, 3.0])
     assert net.step_count == 1
 
@@ -318,7 +313,7 @@ def test_adam_first_step_closed_form():
     # bias correction makes the first step magnitude lr/(1 + eps)
     net = _network_for([nn.dense(1, 1)], learning_rate=0.1)
     net.flat[:] = 0.0
-    nn.adam_step(net, _gradient(np.ones(2)))
+    _adam_step_with(net, np.ones(2))
     for value in net.flat:
         assert abs(value - (-0.1 / (1.0 + 1e-8))) < 1e-15
         assert abs(value + 0.1) < 1e-8
@@ -331,15 +326,9 @@ def test_adam_identical_parameters_stay_identical():
     net.flat[:] = np.concatenate([a, a])
     for _ in range(50):
         g = rng.normal(size=7)
-        nn.adam_step(net, _gradient(np.concatenate([g, g])))
+        _adam_step_with(net, np.concatenate([g, g]))
     assert np.array_equal(net.flat[:7], net.flat[7:])
     assert net.step_count == 50
-
-
-def test_adam_shape_mismatch_error():
-    net = _network_for([nn.dense(2, 1)], learning_rate=0.1)
-    with pytest.raises(ShapeError):
-        nn.adam_step(net, _gradient(np.zeros(4)))
 
 
 def test_second_moment_stays_nonnegative():
@@ -347,7 +336,7 @@ def test_second_moment_stays_nonnegative():
     net = _network_for([nn.dense(4, 1)], learning_rate=0.05)
     net.flat[:] = rng.normal(size=5)
     for _ in range(100):
-        nn.adam_step(net, _gradient(rng.normal(size=5)))
+        _adam_step_with(net, rng.normal(size=5))
         assert np.all(net.second_moment >= 0.0)
 
 
@@ -379,11 +368,11 @@ def test_fused_adam_matches_per_array_loop_bit_for_bit(name):
     for step in range(1, 51):
         x, targets = _train_batch(spec, rng)
         _, cache = nn.forward(net, x, mode="train", rng=rng)
-        grads = nn.backward(net, cache, targets)
+        nn.backward(cache, targets)
         per_array_adam_step(
-            reference, [g.copy() for g in grads.parameter_arrays()], ref_m, ref_v, step, 0.01
+            reference, [g.copy() for g in gradient_arrays(net)], ref_m, ref_v, step, 0.01
         )
-        nn.adam_step(net, grads)
+        nn.adam_step(net)
         for got, want in zip(net.parameter_arrays(), reference):
             assert np.array_equal(got, want), f"{name}: parameters differ at step {step}"
         assert np.array_equal(net.first_moment, np.concatenate([m.ravel() for m in ref_m]))
@@ -418,7 +407,8 @@ def test_lean_step_matches_allocating_reference_bit_for_bit(name):
     for step in range(1, LEAN_STEPS + 1):
         x, targets = _train_batch(spec, rng, rows=64)
         _, cache = nn.forward(net, x, mode="train")
-        nn.adam_step(net, nn.backward(net, cache, targets))
+        nn.backward(cache, targets)
+        nn.adam_step(net)
         _, cache = nn.forward(ref, x, mode="train")
         _reference_update(ref, step, cache, _loss_delta(ref, cache, targets), len(spec) - 2)
     _assert_same_state(net, ref, name)
@@ -433,15 +423,16 @@ def _gan_epoch(gen, disc, real, noise, seeds, epoch=None):
     _, cache = nn.forward(disc, np.vstack([real, fake]), mode="train",
                           rng=np.random.default_rng(seeds[0]))
     if epoch is None:
-        nn.adam_step(disc, nn.backward(disc, cache, disc_targets))
+        nn.backward(cache, disc_targets)
+        nn.adam_step(disc)
     else:
         _reference_update(disc, epoch, cache, _loss_delta(disc, cache, disc_targets),
                           len(disc.spec) - 2)
     fake, gen_cache = nn.forward(gen, noise[1], mode="train")
     _, cache = nn.forward(disc, fake, mode="train", rng=np.random.default_rng(seeds[1]))
     if epoch is None:
-        to_fake = nn.input_gradient(disc, cache, real_labels)
-        nn.adam_step(gen, nn.backward_from(gen, gen_cache, to_fake))
+        nn.backward_from(gen_cache, nn.input_gradient(cache, real_labels))
+        nn.adam_step(gen)
     else:
         _, to_fake = reference_backward(disc, cache, _loss_delta(disc, cache, real_labels),
                                         len(disc.spec) - 2)
@@ -488,10 +479,9 @@ def test_parameters_and_gradients_are_views_into_one_vector(name):
     rng = np.random.default_rng(4)
     x, targets = _train_batch(spec, rng)
     _, cache = nn.forward(net, x, mode="train", rng=rng)
-    grads = nn.backward(net, cache, targets)
-    assert grads is net.grads
-    assert grads.flat.shape == net.flat.shape
-    _assert_views_tile(grads.parameter_arrays(), grads.flat)
+    nn.backward(cache, targets)
+    assert net.grads.shape == net.flat.shape
+    _assert_views_tile(gradient_arrays(net), net.grads)
 
 
 def test_forward_after_adam_step_sees_updated_weights():
@@ -499,7 +489,8 @@ def test_forward_after_adam_step_sees_updated_weights():
     net = _network_for(spec, seed=5, learning_rate=0.1)
     x, targets = _train_batch(spec, np.random.default_rng(6))
     before, cache = nn.forward(net, x, mode="train")
-    nn.adam_step(net, nn.backward(net, cache, targets))
+    nn.backward(cache, targets)
+    nn.adam_step(net)
     after, _ = nn.forward(net, x, mode="train")
     rebuilt = _network_for(spec, seed=99)
     rebuilt.flat[:] = net.flat
@@ -520,15 +511,9 @@ def test_adam_step_is_one_kernel_call(monkeypatch):
     net = _network_for(spec)
     x, targets = _train_batch(spec, np.random.default_rng(8))
     _, cache = nn.forward(net, x, mode="train")
-    nn.adam_step(net, nn.backward(net, cache, targets))
+    nn.backward(cache, targets)
+    nn.adam_step(net)
     assert calls == [net.flat.size]
-
-
-def test_adam_step_rejects_gradient_of_another_size():
-    net = _network_for(classifiers.mlp_spec(10))
-    with pytest.raises(ShapeError):
-        nn.adam_step(net, _gradient(np.zeros(net.flat.size - 1)))
-    assert net.step_count == 0
 
 
 def test_training_is_deterministic_under_seed():
@@ -540,7 +525,8 @@ def test_training_is_deterministic_under_seed():
         t = np.random.default_rng(2).integers(0, 2, size=(8, 1)).astype(np.float64)
         for _ in range(25):
             _, cache = nn.forward(net, x, mode="train")
-            nn.adam_step(net, nn.backward(net, cache, t))
+            nn.backward(cache, t)
+            nn.adam_step(net)
         return net
 
     first = train_once().parameter_arrays()
@@ -554,7 +540,7 @@ def test_all_values_finite_after_forward_backward():
     for trial in range(5):
         net, x, targets = random_network_case(rng, "bce")
         out, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(0))
-        grads = nn.backward(net, cache, targets)
+        nn.backward(cache, targets)
         assert np.all(np.isfinite(out))
-        for g in grads.parameter_arrays():
+        for g in gradient_arrays(net):
             assert np.all(np.isfinite(g))
