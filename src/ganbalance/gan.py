@@ -26,6 +26,7 @@ NOISE_DIM = 100
 GENERATOR_HIDDEN = 100
 DISCRIMINATOR_HIDDEN = 36
 DISCRIMINATOR_DROPOUT = 0.2
+GENERATE_BLOCK = 4096  # most rows that generate runs through the network at once
 
 
 @dataclass
@@ -115,25 +116,27 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, G
     disc_targets = np.vstack([real_labels, fake_labels])
     log = GanTrainingLog()
 
-    for epoch in range(1, config.epochs + 1):
-        # discriminator step: real batch vs freshly generated batch
-        real = x[rng.choice(n, size=batch, replace=False)]
-        fake, _ = nn.forward(gen, sample_noise(batch, rng), mode="train")
-        disc_out, disc_cache = nn.forward(disc, np.vstack([real, fake]), mode="train", rng=rng)
-        disc_loss = nn.loss_bce(disc_out, disc_targets)
-        disc_acc = float(np.mean((disc_out > 0.5).astype(np.int64) == disc_targets))
-        nn.backward(disc_cache, disc_targets)
-        nn.adam_step(disc)
+    # the sigmoid's exp(-x) may overflow, yet its 0 is exact (errstate per kernel call: ~1.5 us)
+    with np.errstate(over="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            # discriminator step: real batch vs freshly generated batch
+            real = x[rng.choice(n, size=batch, replace=False)]
+            fake, _ = nn.forward(gen, sample_noise(batch, rng), mode="train")
+            disc_out, disc_cache = nn.forward(disc, np.vstack([real, fake]), mode="train", rng=rng)
+            disc_loss = nn.loss_bce(disc_out, disc_targets)
+            disc_acc = float(np.mean((disc_out > 0.5).astype(np.int64) == disc_targets))
+            nn.backward(disc_cache, disc_targets)
+            nn.adam_step(disc)
 
-        # generator step: push fakes toward the discriminator's "real" label
-        fake, gen_cache = nn.forward(gen, sample_noise(batch, rng), mode="train")
-        disc_out, disc_cache = nn.forward(disc, fake, mode="train", rng=rng)
-        gen_loss = nn.loss_bce(disc_out, real_labels)
-        nn.backward_from(gen_cache, nn.input_gradient(disc_cache, real_labels))
-        nn.adam_step(gen)
+            # generator step: push fakes toward the discriminator's "real" label
+            fake, gen_cache = nn.forward(gen, sample_noise(batch, rng), mode="train")
+            disc_out, disc_cache = nn.forward(disc, fake, mode="train", rng=rng)
+            gen_loss = nn.loss_bce(disc_out, real_labels)
+            nn.backward_from(gen_cache, nn.input_gradient(disc_cache, real_labels))
+            nn.adam_step(gen)
 
-        if epoch % config.log_every == 0 or epoch == config.epochs:
-            log.append(epoch, gen_loss, disc_loss, disc_acc)
+            if epoch % config.log_every == 0 or epoch == config.epochs:
+                log.append(epoch, gen_loss, disc_loss, disc_acc)
 
     return gen, log
 
@@ -143,13 +146,20 @@ def generate(network: nn.Network, n: int, rng: np.random.Generator) -> np.ndarra
 
     Runs the generator network in inference mode (no dropout, running
     batchnorm statistics), so the output depends only on it and the rng.
+    Rows are made in ceil(n / GENERATE_BLOCK) equal blocks into one array, so
+    other memory does not grow with n; noise and bytes match one-shot sampling
+    (BLAS rounds small matmuls differently, so a short tail block would not).
     """
     if n < 1:
         raise PreconditionError("need n >= 1 generated rows")
-    out, _ = nn.forward(network, sample_noise(n, rng), mode="infer")
-    # sigmoid saturates to exactly 0.0/1.0 in float64 for |z| > ~37; nudge
-    # back inside the open interval the downstream contract expects
-    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    out = np.empty((n, network.spec[-1].output_dim))
+    k = -(-n // GENERATE_BLOCK)
+    bounds = [n * i // k for i in range(k + 1)]
+    with np.errstate(over="ignore"):  # a saturated sigmoid is exact; see train_gan
+        for a, b in zip(bounds, bounds[1:]):
+            out[a:b] = nn.forward(network, sample_noise(b - a, rng), mode="infer")[0]
+    # sigmoid saturates to exactly 0.0/1.0 for |z| > ~37: nudge into (0, 1)
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
 
 
 def write_log_csv(log: GanTrainingLog, path) -> None:

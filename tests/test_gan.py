@@ -1,5 +1,7 @@
 """Adversarial trainer: fixed architectures, determinism, logging, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,32 @@ def test_generate_samples_with_the_trained_noise():
     noise = np.random.default_rng(19).standard_normal((6, gan.NOISE_DIM))
     expected, _ = nn.forward(generator, noise, mode="infer")
     assert np.array_equal(samples, expected)
+
+
+@pytest.mark.parametrize("feature_dim", [10, 30])
+@pytest.mark.parametrize("n", [1, 4096, 4097, 2 * 4096 + 17, 100_000])
+def test_blocked_generate_matches_one_shot_sampling_bit_for_bit(n, feature_dim):
+    generator = fresh_generator(feature_dim, seed=20)
+    rng, rng2 = np.random.default_rng(21), np.random.default_rng(21)
+    samples = gan.generate(generator, n, rng)
+    one_shot, _ = nn.forward(generator, gan.sample_noise(n, rng2), "infer")
+    expected = np.clip(one_shot, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    assert samples.tobytes() == expected.tobytes()
+    # the caller's rng continues the same noise stream as after one draw
+    assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+def test_generate_memory_does_not_grow_with_the_row_count():
+    generator = fresh_generator(10, seed=22)  # the perfbench tables' width
+    rng = np.random.default_rng(23)
+    tracemalloc.start()
+    try:
+        gan.generate(generator, 100_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (100000, 10) output is 7.6 MiB; one-shot sampling peaked at 259.5 MiB
+    assert peak < 40 * 2**20
 
 
 def test_generate_rejects_zero_rows():
