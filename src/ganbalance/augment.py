@@ -1,14 +1,13 @@
 """Two ways to balance an imbalanced training set to 50/50.
 
 Random oversampling duplicates minority rows; GAN augmentation appends
-synthetic minority rows from a trained generator.  Both leave the original
-rows untouched as a prefix and tag every row with its provenance so audits
-can tell real, duplicated, and generated data apart.
+synthetic minority rows from a trained generator.  Both return a plain
+``Dataset`` whose first rows are the input rows, untouched and in order, so
+a row's provenance (original, or duplicated/generated) follows from its
+index alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +19,6 @@ from ganbalance.errors import (
     PreconditionError,
 )
 
-PROVENANCE_ORIGINAL = "original"
-PROVENANCE_DUPLICATED = "duplicated"
-PROVENANCE_GENERATED = "generated"
-
-
-@dataclass
-class AugmentedDataset(Dataset):
-    """A balanced training set whose rows also carry their provenance."""
-
-    provenance: np.ndarray  # per-row tag: original | duplicated | generated
-
 
 def isolate_positives(train: Dataset) -> Dataset:
     """Rows with label 1, order preserved; these train the generator."""
@@ -40,13 +28,7 @@ def isolate_positives(train: Dataset) -> Dataset:
     return Dataset(train.features[mask].copy(), train.labels[mask].copy())
 
 
-def _provenance(n_original: int, n_appended: int, tag: str) -> np.ndarray:
-    return np.array(
-        [PROVENANCE_ORIGINAL] * n_original + [tag] * n_appended, dtype="<U10"
-    )
-
-
-def random_oversample(train: Dataset, rng: np.random.Generator) -> AugmentedDataset:
+def random_oversample(train: Dataset, rng: np.random.Generator) -> Dataset:
     """Duplicate uniformly sampled minority rows until the classes are equal."""
     n_pos = train.positive_count
     n_neg = train.negative_count
@@ -58,12 +40,8 @@ def random_oversample(train: Dataset, rng: np.random.Generator) -> AugmentedData
     picks = rng.integers(0, len(minority_rows), size=deficit)
     extra = train.features[minority_rows[picks]]
     features = np.vstack([train.features, extra])
-    labels = np.concatenate(
-        [train.labels, np.full(deficit, minority_label, dtype=np.int64)]
-    )
-    return AugmentedDataset(
-        features, labels, _provenance(len(train.labels), deficit, PROVENANCE_DUPLICATED)
-    )
+    labels = np.concatenate([train.labels, np.full(deficit, minority_label, dtype=np.int64)])
+    return Dataset(features, labels)
 
 
 def gan_deficit(train: Dataset) -> int:
@@ -76,9 +54,7 @@ def gan_deficit(train: Dataset) -> int:
     return n_neg - n_pos
 
 
-def gan_augment(
-    train: Dataset, network: nn.Network, rng: np.random.Generator
-) -> AugmentedDataset:
+def gan_augment(train: Dataset, network: nn.Network, rng: np.random.Generator) -> Dataset:
     """Append rows from the generator network until positives match negatives."""
     deficit = gan_deficit(train)
     synthetic = gan.generate(network, deficit, rng)
@@ -89,6 +65,4 @@ def gan_augment(
         )
     features = np.vstack([train.features, synthetic])
     labels = np.concatenate([train.labels, np.ones(deficit, dtype=np.int64)])
-    return AugmentedDataset(
-        features, labels, _provenance(len(train.labels), deficit, PROVENANCE_GENERATED)
-    )
+    return Dataset(features, labels)

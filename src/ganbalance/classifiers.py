@@ -63,7 +63,6 @@ class LinearModel:
 @dataclass
 class TreeNode:
     prob: float  # class-1 fraction of the training rows that reached here
-    count: int
     feature: int = -1  # -1 marks a leaf
     threshold: float = 0.0
     left: "TreeNode | None" = None
@@ -168,7 +167,7 @@ def _grow_tree(
     n_pos = int(np.sum(y[sorted_rows[0]]))
     prob = n_pos / n
     if n_pos in (0, n) or depth >= config.max_depth:
-        return TreeNode(prob=prob, count=n)
+        return TreeNode(prob=prob)
 
     # best split over features in ascending index order; strict > keeps the
     # lowest feature index, and the scan itself keeps the lowest threshold
@@ -183,7 +182,7 @@ def _grow_tree(
             best_feature = j
             best_threshold = float(threshold)
     if best_feature < 0:
-        return TreeNode(prob=prob, count=n)
+        return TreeNode(prob=prob)
 
     rows = sorted_rows[best_feature]
     go_left = np.zeros(len(y), dtype=bool)
@@ -192,7 +191,6 @@ def _grow_tree(
     n_left = int(np.sum(go_left))
     return TreeNode(
         prob=prob,
-        count=n,
         feature=best_feature,
         threshold=best_threshold,
         left=_grow_tree(x, y, sorted_rows[left].reshape(-1, n_left), depth + 1, config),
@@ -251,8 +249,7 @@ def predict_score(model, X) -> np.ndarray:
         raise ShapeError(f"input must be 2-D, got shape {x.shape}")
     if isinstance(model, LinearModel):
         _check_width(x, len(model.weights))
-        margin = x @ model.weights + model.bias
-        return 1.0 / (1.0 + np.exp(-margin))
+        return kernels.sigmoid_forward(x @ model.weights + model.bias)
     if isinstance(model, DecisionTreeModel):
         _check_width(x, model.n_features)
         out = np.empty(x.shape[0])

@@ -245,13 +245,7 @@ def stratified_split(
     test_rows = np.concatenate(
         [
             pos_perm[spec.train_positives : need_pos],
-            neg_perm[
-                spec.train_size
-                - spec.train_positives : spec.train_size
-                - spec.train_positives
-                + spec.test_size
-                - spec.test_positives
-            ],
+            neg_perm[spec.train_size - spec.train_positives : need_neg],
         ]
     )
     # keep the original file order inside each side

@@ -46,6 +46,10 @@ class ConsistencyError(GanBalanceError, RuntimeError):
     """A forward cache does not match the network it is replayed against."""
 
 
+class GanStalledError(GanBalanceError, RuntimeError):
+    """The GAN's generator stopped receiving any gradient before training ended."""
+
+
 class RunFailureError(GanBalanceError, RuntimeError):
     """One or more (mode, model) runs failed; partial results were written."""
 

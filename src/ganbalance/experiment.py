@@ -179,7 +179,9 @@ def run(config: ExperimentConfig) -> list:
 
         if config.dump_augmented and mode != "raw":
             suffix = "" if len(augmented_modes) == 1 else f"_{mode}"
-            _write_augmented_csv(train_set, out_dir / f"train_augmented{suffix}.csv")
+            tag = "duplicated" if mode == "oversample" else "generated"
+            _write_augmented_csv(train_set, len(train_scaled.labels), tag,
+                                 out_dir / f"train_augmented{suffix}.csv")
 
         for model_name in models:
             results.append(_train_one(mode, model_name, train_set, test_scaled, config))
@@ -254,12 +256,14 @@ def emit_outputs(results: list, out_dir) -> None:
                            "%.9f,%.9f\n", r.roc)
 
 
-def _write_augmented_csv(augmented: augment.AugmentedDataset, path) -> None:
-    d = augmented.features.shape[1]
+def _write_augmented_csv(train_set: data.Dataset, n_original: int, tag: str, path) -> None:
+    """The balanced set with a provenance column: ``original`` for its first
+    ``n_original`` rows, which augment keeps as the input rows, then ``tag``."""
+    d = train_set.features.shape[1]
     data.write_csv(
         path,
         [f"f{i}" for i in range(d)] + ["label", "provenance"],
         "%.9f," * d + "%d,%s\n",
-        ((*row, label, tag) for row, label, tag in
-         zip(augmented.features, augmented.labels, augmented.provenance)),
+        ((*row, label, "original" if i < n_original else tag)
+         for i, (row, label) in enumerate(zip(train_set.features, train_set.labels))),
     )

@@ -14,13 +14,13 @@ the same learning rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ganbalance import nn
 from ganbalance.data import Dataset, write_csv
-from ganbalance.errors import PreconditionError
+from ganbalance.errors import GanStalledError, PreconditionError
 
 NOISE_DIM = 100
 GENERATOR_HIDDEN = 100
@@ -46,23 +46,6 @@ class GanTrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
-
-
-@dataclass
-class GanTrainingLog:
-    epochs: list = field(default_factory=list)
-    gen_loss: list = field(default_factory=list)
-    disc_loss: list = field(default_factory=list)
-    disc_acc: list = field(default_factory=list)
-
-    def append(self, epoch: int, gen_loss: float, disc_loss: float, disc_acc: float):
-        self.epochs.append(epoch)
-        self.gen_loss.append(gen_loss)
-        self.disc_loss.append(disc_loss)
-        self.disc_acc.append(disc_acc)
-
-    def __len__(self) -> int:
-        return len(self.epochs)
 
 
 def generator_spec(feature_dim: int = 30):
@@ -93,9 +76,15 @@ def sample_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((n, NOISE_DIM))
 
 
-def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, GanTrainingLog]:
+def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, list]:
     """Train the adversarial pair on minority rows; returns the generator
-    network and the per-epoch log."""
+    network and the log: one ``(epoch, gen_loss, disc_loss, disc_acc)`` tuple
+    every ``log_every`` epochs and at the last.
+
+    Raises GanStalledError when the generator's gradient was exactly zero in
+    each of the last ceil(epochs / 10) epochs: the discriminator saturated
+    (as a too-large learning rate makes it), so the generator stopped learning.
+    """
     x = positives.features
     if x.shape[0] < 2:
         raise PreconditionError("need at least 2 minority rows to train")
@@ -114,7 +103,8 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, G
     real_labels = np.ones((batch, 1))
     fake_labels = np.zeros((batch, 1))
     disc_targets = np.vstack([real_labels, fake_labels])
-    log = GanTrainingLog()
+    log = []
+    stalled = 0  # trailing epochs in which the generator's gradient was all zero
 
     # the sigmoid's exp(-x) may overflow, yet its 0 is exact (errstate per kernel call: ~1.5 us)
     with np.errstate(over="ignore"):
@@ -133,11 +123,16 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, G
             disc_out, disc_cache = nn.forward(disc, fake, mode="train", rng=rng)
             gen_loss = nn.loss_bce(disc_out, real_labels)
             nn.backward_from(gen_cache, nn.input_gradient(disc_cache, real_labels))
+            stalled = 0 if gen.grads.any() else stalled + 1
             nn.adam_step(gen)
 
             if epoch % config.log_every == 0 or epoch == config.epochs:
-                log.append(epoch, gen_loss, disc_loss, disc_acc)
+                log.append((epoch, gen_loss, disc_loss, disc_acc))
 
+    if stalled >= -(-config.epochs // 10):
+        raise GanStalledError(
+            f"the generator's gradient was zero from epoch {config.epochs - stalled + 1} on "
+            f"(the discriminator saturated); lower --gan-lr ({config.learning_rate:g})")
     return gen, log
 
 
@@ -162,9 +157,8 @@ def generate(network: nn.Network, n: int, rng: np.random.Generator) -> np.ndarra
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
 
 
-def write_log_csv(log: GanTrainingLog, path) -> None:
-    write_csv(path, ["epoch", "gen_loss", "disc_loss", "disc_acc"], "%d,%.6f,%.6f,%.6f\n",
-              zip(log.epochs, log.gen_loss, log.disc_loss, log.disc_acc))
+def write_log_csv(log: list, path) -> None:
+    write_csv(path, ["epoch", "gen_loss", "disc_loss", "disc_acc"], "%d,%.6f,%.6f,%.6f\n", log)
 
 
 def write_samples_csv(samples: np.ndarray, path) -> None:

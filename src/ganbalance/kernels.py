@@ -64,13 +64,12 @@ def batchnorm_infer_forward(X, gamma, beta, running_mean, running_var, eps):
 
 
 def batchnorm_backward(delta, xhat, gamma, var, eps, dgamma=None, dbeta=None):
-    """Input, gamma and beta gradients; the last two go into ``dgamma``/``dbeta`` if given."""
+    """The input gradient; the gamma and beta gradients go into ``dgamma``/``dbeta`` if given."""
     n = delta.shape[0]
     dgamma = np.add.reduce(delta * xhat, axis=0, out=dgamma)
     dbeta = np.add.reduce(delta, axis=0, out=dbeta)
     inv_std = 1.0 / np.sqrt(var + eps)
-    dx = (gamma * inv_std) * (delta - dbeta / n - xhat * (dgamma / n))
-    return dx, dgamma, dbeta
+    return (gamma * inv_std) * (delta - dbeta / n - xhat * (dgamma / n))
 
 
 # --- Adam parameter update --------------------------------------------------

@@ -310,7 +310,7 @@ def _walk_backward(cache: ForwardCache, delta, start, fill: bool):
         elif layer.kind == "softmax":
             delta = _softmax_backward(entry[1], delta)
         elif layer.kind == "batchnorm":
-            delta, _, _ = kernels.batchnorm_backward(
+            delta = kernels.batchnorm_backward(
                 np.ascontiguousarray(delta), entry[1], net.layers[i].gamma, entry[2],
                 BATCHNORM_EPS, *out,
             )

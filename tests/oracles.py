@@ -325,7 +325,7 @@ def per_node_argsort_tree(x, y, depth: int, max_depth: int, min_leaf: int) -> Tr
     n_pos = int(np.sum(y))
     prob = n_pos / n
     if n_pos in (0, n) or depth >= max_depth or n < 2 * min_leaf:
-        return TreeNode(prob=prob, count=n)
+        return TreeNode(prob=prob)
     best_score, best_feature, best_threshold = -1.0, -1, 0.0
     for j in range(x.shape[1]):
         order = np.argsort(x[:, j], kind="stable")
@@ -333,11 +333,10 @@ def per_node_argsort_tree(x, y, depth: int, max_depth: int, min_leaf: int) -> Tr
         if found and score > best_score:
             best_score, best_feature, best_threshold = score, j, float(threshold)
     if best_feature < 0:
-        return TreeNode(prob=prob, count=n)
+        return TreeNode(prob=prob)
     go_left = x[:, best_feature] <= best_threshold
     return TreeNode(
         prob=prob,
-        count=n,
         feature=best_feature,
         threshold=best_threshold,
         left=per_node_argsort_tree(x[go_left], y[go_left], depth + 1, max_depth, min_leaf),
@@ -356,7 +355,7 @@ def fstring_samples_csv(samples, path) -> None:
 def fstring_log_csv(log, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("epoch,gen_loss,disc_loss,disc_acc\n")
-        for e, g, d, a in zip(log.epochs, log.gen_loss, log.disc_loss, log.disc_acc):
+        for e, g, d, a in log:
             fh.write(f"{e},{g:.6f},{d:.6f},{a:.6f}\n")
 
 

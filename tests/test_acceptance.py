@@ -198,7 +198,7 @@ def test_c5_discriminator_keeps_learning(capsys):
     samples = gan.generate(generator, 1000, np.random.default_rng(9))
     elapsed = time.perf_counter() - started
 
-    acc = np.array(log.disc_acc)
+    acc = np.array([row[3] for row in log])
     window = len(acc) // 10
     first = float(acc[:window].mean())
     last = float(acc[-window:].mean())

@@ -1,9 +1,15 @@
 """Balancing strategies: random duplication and generator-backed augmentation."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ganbalance import augment
+from ganbalance import augment, experiment
 from ganbalance.data import Dataset
 from ganbalance.errors import (
     EmptyMinorityError,
@@ -42,7 +48,7 @@ def test_oversample_balances_exactly():
     out = augment.random_oversample(ds, np.random.default_rng(1))
     assert out.positive_count == out.negative_count == 9685
     assert len(out.labels) == 19370
-    assert np.sum(out.provenance == "duplicated") == 9370
+    assert np.all(out.labels[len(ds.labels):] == 1)
 
 
 def test_oversample_appended_rows_are_copies_of_original_positives():
@@ -60,14 +66,13 @@ def test_oversample_leaves_original_prefix_untouched():
     out = augment.random_oversample(ds, np.random.default_rng(3))
     assert np.array_equal(out.features[: len(ds.labels)], ds.features)
     assert np.array_equal(out.labels[: len(ds.labels)], ds.labels)
-    assert np.all(out.provenance[: len(ds.labels)] == "original")
 
 
 def test_oversample_balanced_input_is_fixed_point():
     ds = _imbalanced(6, 6)
     out = augment.random_oversample(ds, np.random.default_rng(4))
-    assert len(out.labels) == 12
-    assert np.all(out.provenance == "original")
+    assert np.array_equal(out.features, ds.features)
+    assert np.array_equal(out.labels, ds.labels)
 
 
 def test_oversample_single_positive_forced_outcome():
@@ -102,13 +107,13 @@ def test_gan_augment_balances_exactly():
     generated = out.features[len(ds.labels):]
     assert generated.shape == (40, 5)
     assert np.all((generated > 0.0) & (generated < 1.0))
-    assert np.all(out.provenance[len(ds.labels):] == "generated")
+    assert np.all(out.labels[len(ds.labels):] == 1)
 
 
 def test_gan_augment_boundary_single_row():
     ds = _imbalanced(9, 10, dim=3)
     out = augment.gan_augment(ds, fresh_generator(3), np.random.default_rng(7))
-    assert np.sum(out.provenance == "generated") == 1
+    assert len(out.labels) == len(ds.labels) + 1
 
 
 def test_gan_augment_nothing_to_balance():
@@ -134,3 +139,27 @@ def test_count_arithmetic_over_random_imbalances():
         out = augment.random_oversample(ds, rng)
         assert len(out.labels) == 2 * n_neg
         assert out.positive_count == out.negative_count == n_neg
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_pos=st.integers(1, 40), n_neg=st.integers(1, 40), use_gan=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_balanced_set_is_the_input_then_minority_rows(n_pos, n_neg, use_gan, seed):
+    ds = _imbalanced(n_pos, n_neg, dim=3, seed=seed)
+    rng = np.random.default_rng(seed)
+    if use_gan and n_pos < n_neg:
+        out, tag = augment.gan_augment(ds, fresh_generator(3, seed=seed), rng), "generated"
+    else:
+        out, tag = augment.random_oversample(ds, rng), "duplicated"
+    n = n_pos + n_neg
+    assert np.array_equal(out.features[:n], ds.features)
+    assert np.array_equal(out.labels[:n], ds.labels)
+    assert out.positive_count == out.negative_count == max(n_pos, n_neg)
+    assert np.all(out.labels[n:] == (1 if n_pos < n_neg else 0))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "augmented.csv"
+        experiment._write_augmented_csv(out, n, tag, path)
+        with open(path, newline="") as fh:
+            provenance = [row[-1] for row in csv.reader(fh)][1:]
+    assert provenance == ["original"] * n + [tag] * (len(out.labels) - n)

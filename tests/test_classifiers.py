@@ -207,7 +207,7 @@ def test_predict_score_trivial_values():
     linear = cl.LinearModel(np.zeros(3), 0.0)
     assert np.array_equal(cl.predict_score(linear, np.ones((2, 3))), [0.5, 0.5])
 
-    leaf = cl.TreeNode(prob=0.25, count=4)
+    leaf = cl.TreeNode(prob=0.25)
     tree = cl.DecisionTreeModel(leaf, 2)
     assert np.array_equal(cl.predict_score(tree, np.zeros((3, 2))), [0.25] * 3)
 

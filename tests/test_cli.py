@@ -242,6 +242,32 @@ def test_overflowing_column_exits_two_naming_it(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_stalled_gan_synth_exits_two_naming_the_flag(corpus, tmp_path):
+    # a separate process, so any numpy warning would reach its stderr
+    out = subprocess.run(
+        [sys.executable, "-m", "ganbalance.cli", "synth", "--data", str(corpus),
+         "--out", str(tmp_path), "--n", "5", "--gan-lr", "1e300", "--gan-epochs", "3",
+         *SPLIT_FLAGS],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "--gan-lr" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+
+
+def test_stalled_gan_run_exits_three_with_gan_error_rows(corpus, tmp_path):
+    code = main(["run", "--data", str(corpus), "--out", str(tmp_path),
+                 "--modes", "raw,gan", "--models", "dt,logreg", "--gan-lr", "1e300",
+                 "--gan-epochs", "3", *SPLIT_FLAGS])
+    assert code == 3
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows[:2]] == ["ok", "ok"]
+    assert all(row.startswith(f"gan,{model},") and "error: GanStalledError:" in row
+               for row, model in zip(rows[2:], ("dt", "logreg")))
+    assert len(rows) == 4
+    assert not (tmp_path / "gan_training_log.csv").exists()
+
+
 @pytest.mark.parametrize("test_pos", ["0", "100"])
 def test_single_class_test_split_exits_two_before_any_work(corpus, tmp_path, capsys,
                                                            test_pos):

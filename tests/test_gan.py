@@ -7,7 +7,7 @@ import pytest
 
 from ganbalance import gan, nn
 from ganbalance.data import Dataset
-from ganbalance.errors import PreconditionError
+from ganbalance.errors import GanStalledError, PreconditionError
 from helpers import fresh_generator
 
 
@@ -82,9 +82,10 @@ def test_train_single_epoch_smoke():
     config = gan.GanTrainConfig(epochs=1, seed=5)
     generator, log = gan.train_gan(_minority(), config)
     assert len(log) == 1
-    assert log.epochs == [1]
-    assert np.isfinite(log.gen_loss[0]) and np.isfinite(log.disc_loss[0])
-    assert 0.0 <= log.disc_acc[0] <= 1.0
+    epoch, gen_loss, disc_loss, disc_acc = log[0]
+    assert epoch == 1
+    assert np.isfinite(gen_loss) and np.isfinite(disc_loss)
+    assert 0.0 <= disc_acc <= 1.0
     assert isinstance(generator, nn.Network)
 
 
@@ -113,14 +114,13 @@ def test_training_deterministic_under_seed():
     gen_b, log_b = gan.train_gan(_minority(n=25, dim=4), config)
     for a, b in zip(gen_a.parameter_arrays(), gen_b.parameter_arrays()):
         assert np.array_equal(a, b)
-    assert log_a.gen_loss == log_b.gen_loss
-    assert log_a.disc_acc == log_b.disc_acc
+    assert log_a == log_b
 
 
 def test_log_every_includes_final_epoch():
     config = gan.GanTrainConfig(epochs=10, seed=8, log_every=4)
     _, log = gan.train_gan(_minority(n=12, dim=3), config)
-    assert log.epochs == [4, 8, 10]
+    assert [row[0] for row in log] == [4, 8, 10]
 
 
 def test_train_precondition_errors():
@@ -219,3 +219,33 @@ def test_samples_serialization(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "f0,f1,f2"
     assert len(lines) == 6
+
+
+def test_huge_learning_rate_stalls_the_generator():
+    # the discriminator saturates at its first step, after which the
+    # generator's gradient is exactly zero in every epoch
+    config = gan.GanTrainConfig(epochs=20, learning_rate=1e300, seed=9)
+    with pytest.raises(GanStalledError, match=r"from epoch 1 on .*--gan-lr"):
+        gan.train_gan(_minority(), config)
+
+
+@pytest.mark.parametrize("zero_epochs, stalls", [(1, False), (2, True)])
+def test_stall_needs_zero_gradients_over_the_last_tenth(monkeypatch, zero_epochs, stalls):
+    # zero the generator's gradient in the last epochs of 20: a run of
+    # ceil(20 / 10) = 2 such epochs stalls, one does not
+    epochs = iter(range(1, 21))
+    original = nn.backward_from
+
+    def zeroed_late(cache, grad):
+        original(cache, grad)
+        if next(epochs) > 20 - zero_epochs:
+            cache.network.grads[:] = 0.0
+
+    monkeypatch.setattr(nn, "backward_from", zeroed_late)
+    config = gan.GanTrainConfig(epochs=20, seed=9)
+    if stalls:
+        with pytest.raises(GanStalledError, match="from epoch 19 on"):
+            gan.train_gan(_minority(), config)
+    else:
+        _, log = gan.train_gan(_minority(), config)
+        assert len(log) == 20

@@ -42,8 +42,8 @@ def test_samples_csv_matches_fstring_writer(tmp_path):
 def test_log_csv_matches_fstring_writer(tmp_path):
     positives = Dataset(np.random.default_rng(5).random((8, 3)), np.ones(8, dtype=np.int64))
     _, log = gan.train_gan(positives, gan.GanTrainConfig(epochs=6, seed=6, log_every=2))
-    for epoch, value in enumerate(EDGE_VALUES, start=7):
-        log.append(epoch, value, -value, float(value))
+    log += [(epoch, value, -value, float(value))
+            for epoch, value in enumerate(EDGE_VALUES, start=7)]
     assert _same_bytes(tmp_path, gan.write_log_csv, fstring_log_csv, log)
 
 
@@ -65,16 +65,12 @@ def test_augmented_csv_matches_fstring_writer(tmp_path):
                     np.array([1] * 4 + [0] * 16, dtype=np.int64))
     over = augment.random_oversample(train, rng)
     ganned = augment.gan_augment(train, fresh_generator(3, seed=10), rng)
-    mixed = augment.AugmentedDataset(
-        np.vstack([over.features, ganned.features]),
-        np.concatenate([over.labels, ganned.labels]),
-        np.concatenate([over.provenance, ganned.provenance]),
-    )
-    assert mixed.labels.dtype == np.int64
-    assert set(mixed.provenance) == {"original", "duplicated", "generated"}
 
-    def reference(augmented, path):
-        fstring_augmented_csv(augmented.features, augmented.labels, augmented.provenance,
-                              path)
+    def reference(balanced, n_original, tag, path):
+        provenance = ["original"] * n_original + [tag] * (len(balanced.labels) - n_original)
+        fstring_augmented_csv(balanced.features, balanced.labels, provenance, path)
 
-    assert _same_bytes(tmp_path, experiment._write_augmented_csv, reference, mixed)
+    for balanced, tag in ((over, "duplicated"), (ganned, "generated")):
+        assert balanced.labels.dtype == np.int64
+        assert _same_bytes(tmp_path, experiment._write_augmented_csv, reference, balanced,
+                           len(train.labels), tag)
