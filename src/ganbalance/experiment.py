@@ -198,16 +198,17 @@ def run(config: ExperimentConfig) -> list:
 
 
 def run_synth(config: ExperimentConfig, n_samples: int):
-    """Train the GAN on the split's positives and dump n generated rows."""
+    """Train the GAN on the split's positives, write n generated rows block by
+    block as they are sampled, and return the GAN training log."""
     if n_samples < 1:
         raise PreconditionError("need n >= 1 samples")
     out_dir = _prepare_out_dir(config)
     train_scaled, _ = _load_split_scale(config)
     generator, log, rng = _train_generator(config, train_scaled)
-    samples = gan.generate(generator, n_samples, rng)
-    gan.write_samples_csv(samples, out_dir / "generated_samples.csv")
+    blocks = gan.sample_blocks(generator, n_samples, rng)
+    gan.write_samples_csv(blocks, out_dir / "generated_samples.csv")
     gan.write_log_csv(log, out_dir / "gan_training_log.csv")
-    return samples, log
+    return log
 
 
 def emit_outputs(results: list, out_dir) -> None:

@@ -13,6 +13,7 @@ the same learning rate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ NOISE_DIM = 100
 GENERATOR_HIDDEN = 100
 DISCRIMINATOR_HIDDEN = 36
 DISCRIMINATOR_DROPOUT = 0.2
-GENERATE_BLOCK = 4096  # most rows that generate runs through the network at once
+GENERATE_BLOCK = 4096  # most rows that sample_blocks runs through the network at once
 
 
 @dataclass
@@ -136,31 +137,47 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, l
     return gen, log
 
 
-def generate(network: nn.Network, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample n synthetic minority rows; every value is strictly in (0, 1).
-
-    Runs the generator network in inference mode (no dropout, running
-    batchnorm statistics), so the output depends only on it and the rng.
-    Rows are made in ceil(n / GENERATE_BLOCK) equal blocks into one array, so
-    other memory does not grow with n; noise and bytes match one-shot sampling
-    (BLAS rounds small matmuls differently, so a short tail block would not).
-    """
+def sample_blocks(network: nn.Network, n: int, rng: np.random.Generator):
+    """Check n, then return an iterator over n synthetic minority rows, every
+    value strictly in (0, 1), in ceil(n / GENERATE_BLOCK) equal blocks that are
+    sampled as they are asked for, so memory does not grow with n.  The
+    generator runs in inference mode, so the rows depend only on it and the
+    rng; noise and bytes match one-shot sampling (BLAS rounds small matmuls
+    differently, so a short tail block would not)."""
     if n < 1:
         raise PreconditionError("need n >= 1 generated rows")
-    out = np.empty((n, network.spec[-1].output_dim))
     k = -(-n // GENERATE_BLOCK)
-    bounds = [n * i // k for i in range(k + 1)]
+    return (_sample_block(network, n * (i + 1) // k - n * i // k, rng) for i in range(k))
+
+
+def _sample_block(network: nn.Network, rows: int, rng: np.random.Generator) -> np.ndarray:
     with np.errstate(over="ignore"):  # a saturated sigmoid is exact; see train_gan
-        for a, b in zip(bounds, bounds[1:]):
-            out[a:b] = nn.forward(network, sample_noise(b - a, rng), mode="infer")[0]
+        block = nn.forward(network, sample_noise(rows, rng), mode="infer")[0]
     # sigmoid saturates to exactly 0.0/1.0 for |z| > ~37: nudge into (0, 1)
-    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
+    return np.clip(block, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=block)
+
+
+def generate(network: nn.Network, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The rows of ``sample_blocks(network, n, rng)`` in one (n, d) array."""
+    blocks = sample_blocks(network, n, rng)
+    out, start = np.empty((n, network.spec[-1].output_dim)), 0
+    for block in blocks:
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def write_log_csv(log: list, path) -> None:
     write_csv(path, ["epoch", "gen_loss", "disc_loss", "disc_acc"], "%d,%.6f,%.6f,%.6f\n", log)
 
 
-def write_samples_csv(samples: np.ndarray, path) -> None:
-    d = samples.shape[1]
-    write_csv(path, [f"f{i}" for i in range(d)], ",".join(["%.9f"] * d) + "\n", samples)
+def write_samples_csv(blocks, path) -> None:
+    """Write the rows of an iterable of (rows, d) sample blocks, at least one,
+    each formatted in one operation as it arrives; opens path at the first."""
+    blocks = iter(blocks)
+    first = next(blocks)
+    row_format = ",".join(["%.9f"] * first.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"f{i}" for i in range(first.shape[1])) + "\n")
+        for block in itertools.chain([first], blocks):
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))

@@ -11,7 +11,8 @@ import numpy as np
 
 
 def dense_forward(X, W, b):
-    return np.dot(X, W) + b
+    out = np.dot(X, W)
+    return np.add(out, b, out=out)  # in place: no second (batch, out) array
 
 
 def dense_backward(X, delta, W, dW=None, db=None, input_grad=True):
@@ -23,8 +24,8 @@ def dense_backward(X, delta, W, dW=None, db=None, input_grad=True):
     return np.dot(delta, np.ascontiguousarray(W.T)) if input_grad else None
 
 
-def relu_forward(X):
-    return np.maximum(X, 0.0)
+def relu_forward(X, out=None):
+    return np.maximum(X, 0.0, out=out)
 
 
 def relu_backward(X, delta):

@@ -213,20 +213,24 @@ def forward(
     if mode == "train" and rng is None and net.has_dropout:
         raise PreconditionError("training with dropout layers requires an rng")
 
+    # infer mode records nothing (backward refuses its cache), so each
+    # activation is freed once the next layer has read it
     layer_data = []
+    keep = layer_data.append if mode == "train" else (lambda entry: None)
     for layer, params in zip(net.spec, net.layers):
         if layer.kind == "dense":
-            layer_data.append(("dense", h))
+            keep(("dense", h))
             h = kernels.dense_forward(h, params.weights, params.bias)
         elif layer.kind == "relu":
-            layer_data.append(("relu", h))
-            h = kernels.relu_forward(h)
+            keep(("relu", h))  # infer: in place, unless h may still be the caller's x
+            inplace = mode == "infer" and not np.may_share_memory(h, x)
+            h = kernels.relu_forward(h, out=h if inplace else None)
         elif layer.kind == "sigmoid":
             h = kernels.sigmoid_forward(h)
-            layer_data.append(("sigmoid", h))
+            keep(("sigmoid", h))
         elif layer.kind == "softmax":
             h = kernels.softmax_forward(h)
-            layer_data.append(("softmax", h))
+            keep(("softmax", h))
         elif layer.kind == "batchnorm":
             if mode == "train":
                 h, xhat, mean, var = kernels.batchnorm_train_forward(
@@ -235,24 +239,15 @@ def forward(
                 m = BATCHNORM_MOMENTUM
                 params.running_mean[...] = m * params.running_mean + (1.0 - m) * mean
                 params.running_var[...] = m * params.running_var + (1.0 - m) * var
-                layer_data.append(("batchnorm", xhat, var))
+                keep(("batchnorm", xhat, var))
             else:
-                h = kernels.batchnorm_infer_forward(
-                    h,
-                    params.gamma,
-                    params.beta,
-                    params.running_mean,
-                    params.running_var,
-                    BATCHNORM_EPS,
-                )
-                layer_data.append(("batchnorm",))
-        elif layer.kind == "dropout":
-            if mode == "train":
-                mult = (rng.random(h.shape) >= layer.rate) / (1.0 - layer.rate)
-                h = h * mult
-                layer_data.append(("dropout", mult))
-            else:
-                layer_data.append(("dropout",))
+                h = kernels.batchnorm_infer_forward(h, params.gamma, params.beta,
+                                                    params.running_mean, params.running_var,
+                                                    BATCHNORM_EPS)
+        elif layer.kind == "dropout" and mode == "train":
+            mult = (rng.random(h.shape) >= layer.rate) / (1.0 - layer.rate)
+            h = h * mult
+            keep(("dropout", mult))
     return h, ForwardCache(net, mode, layer_data, h)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -165,6 +166,56 @@ def test_cli_and_library_write_identical_outputs(tmp_path, capsys):
     assert len(cli_files) == 16
     for name in cli_files:
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+PIN_PROBE = """
+import os, sys
+at_numpy = []
+sys.addaudithook(lambda event, args: event == "import" and args[0] == "numpy"
+                 and not at_numpy and at_numpy.append(os.environ.get("OPENBLAS_NUM_THREADS")))
+import ganbalance.cli
+print(at_numpy, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("caller_value, expected", [(None, "1"), ("3", "3")])
+def test_cli_import_defaults_blas_threads_before_numpy_loads(caller_value, expected):
+    # a fresh process: numpy reads the variable once, when it is first imported
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if caller_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_value
+    out = subprocess.run([sys.executable, "-c", PIN_PROBE], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == [f"['{expected}']", expected]
+
+
+BLAS_SPLIT_FLAGS = ["--train-size", "2600", "--test-size", "500",
+                    "--train-pos", "100", "--test-pos", "50", "--gan-epochs", "20"]
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--n", "5000"],  # two 2,500-row generator blocks
+    ["run", "--modes", "gan", "--models", "dt", "--dump-augmented"],  # one 2,400-row block
+])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, capsys, command):
+    # blocks of 2,048 rows and more are large enough for OpenBLAS to split the
+    # generator's matrix products across threads; the bytes must not move
+    data = tmp_path / "data.csv"
+    write_dataset_csv(gaussian_blobs(np.random.default_rng(23), n_pos=150, n_neg=3000, dim=4),
+                      data)
+    argv = [*command, "--data", str(data), *BLAS_SPLIT_FLAGS]
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "ganbalance.cli", *argv, "--out",
+                        str(tmp_path / threads)], check=True, capture_output=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+    assert main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "gan_training_log.csv" in names and len(names) == (2 if command[0] == "synth" else 4)
+    for out in ("2", "in_process"):
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == names
+        for name in names:
+            assert (tmp_path / out / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 def test_seed_flag_changes_outputs(corpus, tmp_path, capsys):

@@ -215,7 +215,7 @@ def test_samples_serialization(tmp_path):
     generator = fresh_generator(3, seed=16)
     samples = gan.generate(generator, 5, np.random.default_rng(17))
     path = tmp_path / "samples.csv"
-    gan.write_samples_csv(samples, path)
+    gan.write_samples_csv([samples], path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "f0,f1,f2"
     assert len(lines) == 6

@@ -79,6 +79,27 @@ def test_forward_dropout_needs_rng_in_train_mode():
     nn.forward(net, np.zeros((1, 2)), mode="infer")
 
 
+def test_infer_forward_keeps_no_activations_and_spares_the_callers_input():
+    # infer mode rectifies in place, but never in the memory the caller passed,
+    # even through a subclass that forward converts to a plain ndarray view
+    class Subclass(np.ndarray):
+        pass
+
+    for spec in ([nn.relu(2)], [nn.dropout(2, 0.5), nn.relu(2)], [nn.relu(2), nn.relu(2)]):
+        for x in (np.array([[-1.0, 2.0], [3.0, -4.0]]),
+                  np.array([[-1.0, 2.0], [3.0, -4.0]]).view(Subclass)):
+            out, cache = nn.forward(_network_for(spec), x, mode="infer")
+            assert np.array_equal(x, [[-1.0, 2.0], [3.0, -4.0]])
+            assert np.array_equal(out, [[0.0, 2.0], [3.0, 0.0]])
+            assert cache.layer_data == []
+    net = _network_for([nn.dense(3, 4), nn.relu(4), nn.dense(4, 4), nn.relu(4)], seed=5)
+    x = np.random.default_rng(6).standard_normal((7, 3))
+    infer, _ = nn.forward(net, x, mode="infer")
+    train, cache = nn.forward(net, x, mode="train")
+    assert infer.tobytes() == train.tobytes()
+    assert [entry[0] for entry in cache.layer_data] == ["dense", "relu", "dense", "relu"]
+
+
 def test_activation_examples():
     assert np.array_equal(kernels.relu_forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
     assert kernels.sigmoid_forward(np.float64(0.0)) == 0.5

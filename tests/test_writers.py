@@ -36,7 +36,11 @@ def test_samples_csv_matches_fstring_writer(tmp_path):
         _edge_table(4),
         gan.generate(fresh_generator(4, seed=3), 50, np.random.default_rng(4)),
     ])
-    assert _same_bytes(tmp_path, gan.write_samples_csv, fstring_samples_csv, samples)
+
+    def write_in_blocks(rows, path):  # unequal blocks, from an iterator
+        gan.write_samples_csv(iter(np.array_split(rows, 3)), path)
+
+    assert _same_bytes(tmp_path, write_in_blocks, fstring_samples_csv, samples)
 
 
 def test_log_csv_matches_fstring_writer(tmp_path):
