@@ -1,12 +1,13 @@
 """End-to-end experiment runner behind the CLI.
 
-Loads and preprocesses the labeled CSV once (load -> dedup -> stratified
-split -> two-stage scaling), then for each requested mode builds one training
-set (raw as-is, oversample via random duplication, gan via generator-sampled
-rows) and trains every requested classifier on it.  All evaluation happens on
-the single untouched test split.  Outputs land in the chosen directory:
-metrics.csv, one ROC file per (mode, model), the GAN training log when the
-gan mode ran, plus optional augmented-set dumps.
+``run`` works in four phases.  Prepare: load, dedup, stratified split and
+two-stage scaling, once.  Balance: build each requested mode's training set
+(raw as-is, oversample by random duplication, gan from generator samples),
+training the GAN once and writing any augmented-set dump, so every set and
+every dump exists before the first fit.  Fit and score every requested
+classifier on each set, mode by mode, against the one untouched test split; a
+mode whose balancing failed still gets its rows, carrying the error.  Emit:
+metrics.csv, one ROC file per (mode, model), and the GAN log if gan ran.
 
 Determinism: one master seed fans out to independent per-stage seeds via
 sha256, so two runs with the same config produce byte-identical outputs.
@@ -43,8 +44,8 @@ _TRAINERS = {
 @dataclass
 class ExperimentConfig:
     """One run's settings.  Every stage seed (split, oversampling, GAN
-    training and sampling, each classifier) derives from ``seed``, so
-    ``gan.seed`` is not read."""
+    training and sampling, each classifier) derives from ``seed``, so a
+    ``gan`` whose ``seed`` is not the default is refused."""
 
     data_path: str
     out_dir: str
@@ -66,6 +67,8 @@ class ExperimentConfig:
             raise ValueError(f"models must be a non-empty subset of {MODELS}")
         if self.mlp_epochs is not None and self.mlp_epochs < 1:
             raise ValueError("mlp_epochs (--mlp-epochs) must be >= 1")
+        if self.gan.seed != GanTrainConfig.seed:
+            raise ValueError("gan.seed is not read: the GAN's seeds derive from seed")
 
 
 @dataclass
@@ -114,12 +117,16 @@ def _train_generator(config: ExperimentConfig, train_scaled):
 
 
 def _train_one(mode, model_name, train_set, test_set, config):
+    """Fit and score one pair.  A mode whose balancing failed passes its
+    error as ``train_set``, and the pair gets a failed fit's row."""
     started = time.perf_counter()
     train_cfg = TrainConfig(
         epochs=config.mlp_epochs if model_name == "mlp" else None,
         seed=derive_seed(config.seed, f"classifier:{mode}:{model_name}"),
     )
     try:
+        if isinstance(train_set, GanBalanceError):
+            raise train_set
         model = _TRAINERS[model_name](train_set, train_cfg)
         scores = classifiers.predict_score(model, test_set.features)
         predicted = (scores > 0.5).astype(np.int64)
@@ -127,23 +134,19 @@ def _train_one(mode, model_name, train_set, test_set, config):
         curve, auc = metrics.roc_auc(test_set.labels, scores)
         report = metrics.compute_metrics(cm, auc)
     except GanBalanceError as exc:
-        return RunResult(
-            mode,
-            model_name,
-            None,
-            time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return RunResult(mode, model_name, None, time.perf_counter() - started,
+                         error=f"{type(exc).__name__}: {exc}")
     return RunResult(mode, model_name, report, time.perf_counter() - started, roc=curve)
 
 
 def run(config: ExperimentConfig) -> list:
     """Execute every requested (mode, model) pair and write all outputs.
 
-    Per-pair failures do not abort the rest: the failed rows carry an error
-    marker in metrics.csv and a RunFailureError is raised after everything
-    has been written.  A test split without both classes cannot be scored,
-    so it is refused before anything is loaded or written.
+    Phases: prepare, balance every mode (the GAN and every dump come before
+    the first fit), fit and score mode by mode, emit.  A failed fit, and each
+    pair of a mode whose balancing failed, gets an error row in metrics.csv;
+    a RunFailureError is raised after everything has been written.  A test
+    split without both classes is refused before anything is loaded.
     """
     split = config.split
     if not 1 <= split.test_positives < split.test_size:
@@ -157,34 +160,32 @@ def run(config: ExperimentConfig) -> list:
     models = [m for m in MODELS if m in config.models]
     augmented_modes = [m for m in modes if m != "raw"]
 
-    results = []
-    gan_log = None
+    train_sets, gan_log = {}, None  # mode -> its Dataset, or the error that stopped it
     for mode in modes:
         try:
             if mode == "raw":
-                train_set = train_scaled
+                train_sets[mode] = train_scaled
             elif mode == "oversample":
                 rng = np.random.default_rng(derive_seed(config.seed, "oversample"))
-                train_set = augment.random_oversample(train_scaled, rng)
+                train_sets[mode] = augment.random_oversample(train_scaled, rng)
             else:
                 augment.gan_deficit(train_scaled)  # fail before training the GAN
                 generator, gan_log, rng = _train_generator(config, train_scaled)
-                train_set = augment.gan_augment(train_scaled, generator, rng)
+                train_sets[mode] = augment.gan_augment(train_scaled, generator, rng)
         except GanBalanceError as exc:
-            tag = f"{type(exc).__name__}: {exc}"
-            results.extend(
-                RunResult(mode, name, None, 0.0, error=tag) for name in models
-            )
+            train_sets[mode] = exc
             continue
-
         if config.dump_augmented and mode != "raw":
             suffix = "" if len(augmented_modes) == 1 else f"_{mode}"
             tag = "duplicated" if mode == "oversample" else "generated"
-            _write_augmented_csv(train_set, len(train_scaled.labels), tag,
+            _write_augmented_csv(train_sets[mode], len(train_scaled.labels), tag,
                                  out_dir / f"train_augmented{suffix}.csv")
 
-        for model_name in models:
-            results.append(_train_one(mode, model_name, train_set, test_scaled, config))
+    results = []
+    for mode in modes:
+        results += [_train_one(mode, name, train_sets[mode], test_scaled, config)
+                    for name in models]
+        del train_sets[mode]  # its last fit is done
 
     emit_outputs(results, out_dir)
     if gan_log is not None:

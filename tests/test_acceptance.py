@@ -249,6 +249,7 @@ def desk_run(desk_csv, tmp_path_factory):
     return {"code": code, "out": out, "elapsed": elapsed}
 
 
+@pytest.mark.slow
 def test_c6_gan_mlp_f1_holds_up_at_desk_scale(desk_run, capsys):
     rows = _read_metrics(desk_run["out"] / "metrics.csv")
     finite = desk_run["code"] == 0 and len(rows) == 12
@@ -269,6 +270,7 @@ def test_c6_gan_mlp_f1_holds_up_at_desk_scale(desk_run, capsys):
     )
 
 
+@pytest.mark.slow
 def test_c8_same_seed_runs_are_byte_identical(desk_run, desk_csv,
                                               tmp_path_factory, capsys):
     out_b = tmp_path_factory.mktemp("desk_out_b")

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ganbalance import classifiers
+from ganbalance import classifiers, experiment, gan
 from ganbalance.data import Dataset, SplitSpec
 from ganbalance.errors import PreconditionError, RunFailureError
 from ganbalance.experiment import (
+    MODELS,
+    MODES,
     ExperimentConfig,
     _train_one,
     derive_seed,
@@ -68,6 +70,8 @@ def test_config_rejects_unknown_modes_and_models(corpus, tmp_path):
         ExperimentConfig(str(corpus), str(tmp_path), models=("dt", "bogus"))
     with pytest.raises(ValueError):
         ExperimentConfig(str(corpus), str(tmp_path), modes=())
+    with pytest.raises(ValueError, match="gan.seed is not read"):
+        ExperimentConfig(str(corpus), str(tmp_path), gan=GanTrainConfig(seed=3))
 
 
 def test_full_run_scores_every_pair(full_run):
@@ -188,6 +192,34 @@ def test_raw_rows_do_not_depend_on_other_modes(full_run, corpus, tmp_path):
         if line.startswith("raw,")
     ]
     assert full_raw == solo_raw
+
+
+def test_every_set_and_dump_exists_before_the_first_fit(corpus, tmp_path, monkeypatch):
+    events = []
+    train_gan = gan.train_gan
+
+    def recording_train_gan(*args):
+        events.append("train_gan")
+        return train_gan(*args)
+
+    pair_of = {derive_seed(11, f"classifier:{mode}:{model}"): (mode, model)
+               for mode in MODES for model in MODELS}
+    for name, trainer in experiment._TRAINERS.items():
+        def recording_trainer(train_set, cfg, trainer=trainer):
+            dumps = sorted(p.name for p in tmp_path.glob("train_augmented_*.csv"))
+            events.append((*pair_of[cfg.seed], dumps))
+            return trainer(train_set, cfg)
+
+        monkeypatch.setitem(experiment._TRAINERS, name, recording_trainer)
+    monkeypatch.setattr(gan, "train_gan", recording_train_gan)
+    config = ExperimentConfig(data_path=str(corpus), out_dir=str(tmp_path), seed=11,
+                              split=SPLIT, gan=GAN_FAST, mlp_epochs=1, dump_augmented=True)
+    run(config)
+    dumps = ["train_augmented_gan.csv", "train_augmented_oversample.csv"]
+    # the GAN trains and both dumps are written first, then one fit per pair,
+    # mode by mode
+    assert events == ["train_gan"] + [(mode, model, dumps) for mode in MODES
+                                      for model in MODELS]
 
 
 def test_mlp_epoch_override_applies(corpus, tmp_path):
