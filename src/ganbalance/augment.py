@@ -25,7 +25,7 @@ def isolate_positives(train: Dataset) -> Dataset:
     mask = train.labels == 1
     if not mask.any():
         raise EmptyMinorityError("training set has no positive rows")
-    return Dataset(train.features[mask].copy(), train.labels[mask].copy())
+    return Dataset(train.features[mask], train.labels[mask])
 
 
 def random_oversample(train: Dataset, rng: np.random.Generator) -> Dataset:
@@ -55,14 +55,13 @@ def gan_deficit(train: Dataset) -> int:
 
 
 def gan_augment(train: Dataset, network: nn.Network, rng: np.random.Generator) -> Dataset:
-    """Append rows from the generator network until positives match negatives."""
+    """Append rows from the generator network until positives match negatives;
+    its sample blocks are stacked under the input rows in one copy."""
     deficit = gan_deficit(train)
-    synthetic = gan.generate(network, deficit, rng)
-    if synthetic.shape[1] != train.features.shape[1]:
+    width = network.spec[-1].output_dim
+    if width != train.features.shape[1]:
         raise PreconditionError(
-            f"generator emits {synthetic.shape[1]} features, train set has "
-            f"{train.features.shape[1]}"
-        )
-    features = np.vstack([train.features, synthetic])
+            f"generator emits {width} features, train set has {train.features.shape[1]}")
+    features = np.vstack([train.features, *gan.sample_blocks(network, deficit, rng)])
     labels = np.concatenate([train.labels, np.ones(deficit, dtype=np.int64)])
     return Dataset(features, labels)

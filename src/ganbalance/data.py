@@ -68,6 +68,7 @@ class SplitSpec:
 
 
 DEGENERATE_EPS = 1e-12
+WRITE_CELLS = 2048  # most values write_csv formats in one operation
 
 
 def load_csv(path, label_column: str = "Class") -> RawTable:
@@ -251,9 +252,8 @@ def stratified_split(
     # keep the original file order inside each side
     train_rows = np.sort(train_rows)
     test_rows = np.sort(test_rows)
-    train = Dataset(table.features[train_rows].copy(), table.labels[train_rows].copy())
-    test = Dataset(table.features[test_rows].copy(), table.labels[test_rows].copy())
-    return train, test
+    return (Dataset(table.features[train_rows], table.labels[train_rows]),
+            Dataset(table.features[test_rows], table.labels[test_rows]))
 
 
 def scale_train_test(
@@ -295,11 +295,17 @@ def scale_train_test(
     return to_unit(train_std, train.labels), to_unit(test_std, test.labels)
 
 
-def write_csv(path, header, row_format: str, rows) -> None:
-    """Write the comma-joined ``header`` names, then ``row_format % tuple(row)``
-    for each row; ``row_format`` ends in its own newline.  Rows are formatted
-    one at a time, so an array argument is never copied whole."""
+def write_csv(path, header, parts) -> None:
+    """Write the comma-joined ``header`` names, then every ``(rows,
+    row_format)`` part in turn: ``row_format % tuple(row)`` for each row of the
+    2-D array ``rows``, with ``row_format`` ending in its own newline.  Each
+    ``%`` formats a block of at most WRITE_CELLS values (one row, if a row
+    holds more), so no array is turned into text whole; ``parts`` may be an
+    iterator, and each part is written before the next is drawn."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(row_format % tuple(row))
+        for rows, row_format in parts:
+            step = max(1, WRITE_CELLS // rows.shape[1])
+            for start in range(0, len(rows), step):
+                block = rows[start:start + step]
+                fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))

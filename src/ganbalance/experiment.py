@@ -59,12 +59,13 @@ class ExperimentConfig:
     label_column: str = "Class"
 
     def __post_init__(self):
-        bad_modes = set(self.modes) - set(MODES)
-        bad_models = set(self.models) - set(MODELS)
-        if not self.modes or bad_modes:
-            raise ValueError(f"modes must be a non-empty subset of {MODES}")
-        if not self.models or bad_models:
-            raise ValueError(f"models must be a non-empty subset of {MODELS}")
+        for name, allowed in (("modes", MODES), ("models", MODELS)):
+            given = getattr(self, name)
+            rejected = [value for value in given if value not in allowed]
+            if rejected or not given:
+                detail = f"rejected {', '.join(map(repr, rejected))}" if rejected else "none given"
+                raise ValueError(f"{name} (--{name}) must be a non-empty subset of {allowed}: "
+                                 f"{detail}")
         if self.mlp_epochs is not None and self.mlp_epochs < 1:
             raise ValueError("mlp_epochs (--mlp-epochs) must be >= 1")
         if self.gan.seed != GanTrainConfig.seed:
@@ -202,7 +203,7 @@ def run_synth(config: ExperimentConfig, n_samples: int):
     """Train the GAN on the split's positives, write n generated rows block by
     block as they are sampled, and return the GAN training log."""
     if n_samples < 1:
-        raise PreconditionError("need n >= 1 samples")
+        raise PreconditionError(f"n (--n) is {n_samples}, must be >= 1")
     out_dir = _prepare_out_dir(config)
     train_scaled, _ = _load_split_scale(config)
     generator, log, rng = _train_generator(config, train_scaled)
@@ -255,17 +256,15 @@ def emit_outputs(results: list, out_dir) -> None:
     for r in results:
         if r.roc is not None:
             data.write_csv(out_dir / f"roc_{r.mode}_{r.model}.csv", ["fpr", "tpr"],
-                           "%.9f,%.9f\n", r.roc)
+                           [(r.roc, "%.9f,%.9f\n")])
 
 
 def _write_augmented_csv(train_set: data.Dataset, n_original: int, tag: str, path) -> None:
     """The balanced set with a provenance column: ``original`` for its first
     ``n_original`` rows, which augment keeps as the input rows, then ``tag``."""
     d = train_set.features.shape[1]
-    data.write_csv(
-        path,
-        [f"f{i}" for i in range(d)] + ["label", "provenance"],
-        "%.9f," * d + "%d,%s\n",
-        ((*row, label, "original" if i < n_original else tag)
-         for i, (row, label) in enumerate(zip(train_set.features, train_set.labels))),
-    )
+    rows = np.column_stack([train_set.features, train_set.labels])
+    cells = "%.9f," * d + "%d,"
+    data.write_csv(path, [f"f{i}" for i in range(d)] + ["label", "provenance"],
+                   [(rows[:n_original], cells + "original\n"),
+                    (rows[n_original:], cells + tag + "\n")])

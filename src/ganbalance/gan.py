@@ -40,13 +40,14 @@ class GanTrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs (--gan-epochs) is {self.epochs}, must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
+            raise ValueError(f"learning_rate (--gan-lr) is {self.learning_rate:g}, "
+                             "must be finite and positive")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size (--gan-batch) is {self.batch_size}, must be >= 1")
         if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+            raise ValueError(f"log_every (--gan-log-every) is {self.log_every}, must be >= 1")
 
 
 def generator_spec(feature_dim: int = 30):
@@ -157,27 +158,16 @@ def _sample_block(network: nn.Network, rows: int, rng: np.random.Generator) -> n
     return np.clip(block, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=block)
 
 
-def generate(network: nn.Network, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The rows of ``sample_blocks(network, n, rng)`` in one (n, d) array."""
-    blocks = sample_blocks(network, n, rng)
-    out, start = np.empty((n, network.spec[-1].output_dim)), 0
-    for block in blocks:
-        out[start:start + len(block)] = block
-        start += len(block)
-    return out
-
-
 def write_log_csv(log: list, path) -> None:
-    write_csv(path, ["epoch", "gen_loss", "disc_loss", "disc_acc"], "%d,%.6f,%.6f,%.6f\n", log)
+    write_csv(path, ["epoch", "gen_loss", "disc_loss", "disc_acc"],
+              [(np.array(log, dtype=np.float64), "%d,%.6f,%.6f,%.6f\n")])
 
 
 def write_samples_csv(blocks, path) -> None:
     """Write the rows of an iterable of (rows, d) sample blocks, at least one,
-    each formatted in one operation as it arrives; opens path at the first."""
+    each as it arrives; opens path at the first."""
     blocks = iter(blocks)
     first = next(blocks)
     row_format = ",".join(["%.9f"] * first.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"f{i}" for i in range(first.shape[1])) + "\n")
-        for block in itertools.chain([first], blocks):
-            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+    write_csv(path, [f"f{i}" for i in range(first.shape[1])],
+              ((block, row_format) for block in itertools.chain([first], blocks)))

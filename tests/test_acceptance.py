@@ -195,7 +195,7 @@ def test_c5_discriminator_keeps_learning(capsys):
         positives,
         gan.GanTrainConfig(epochs=2000, learning_rate=1e-4, seed=7),
     )
-    samples = gan.generate(generator, 1000, np.random.default_rng(9))
+    samples = np.vstack(list(gan.sample_blocks(generator, 1000, np.random.default_rng(9))))
     elapsed = time.perf_counter() - started
 
     acc = np.array([row[3] for row in log])

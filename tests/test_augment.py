@@ -122,6 +122,15 @@ def test_gan_augment_nothing_to_balance():
         augment.gan_augment(ds, fresh_generator(4), np.random.default_rng(0))
 
 
+def test_gan_augment_refuses_a_generator_of_another_width_before_sampling():
+    ds = _imbalanced(12, 40, dim=3)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(PreconditionError, match="generator emits 4 features, train set has 3"):
+        augment.gan_augment(ds, fresh_generator(4), rng)
+    assert rng.bit_generator.state == state  # no noise was drawn
+
+
 def test_gan_augment_deterministic():
     ds = _imbalanced(12, 40, dim=3)
     generator = fresh_generator(3, seed=2)

@@ -235,7 +235,7 @@ def test_seed_flag_changes_outputs(corpus, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag", ["--gan-lr=nan", "--gan-lr=inf", "--gan-lr=-inf",
-             "--gan-log-every=0", "--gan-log-every=-1"],
+             "--gan-log-every=0", "--gan-log-every=-1", "--gan-epochs=0", "--gan-batch=0"],
 )
 def test_invalid_gan_setting_exits_two(corpus, tmp_path, capsys, flag):
     code = main(
@@ -245,7 +245,23 @@ def test_invalid_gan_setting_exits_two(corpus, tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
+    assert f"({flag.split('=')[0]})" in captured.err
     assert not (tmp_path / "generated_samples.csv").exists()
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("synth", ["--n", "0"], ["(--n) is 0"]),
+    ("run", ["--modes", "bogus"], ["(--modes)", "rejected 'bogus'"]),
+    ("run", ["--modes", ","], ["(--modes)", "none given"]),
+    ("run", ["--models", "dt,svn"], ["(--models)", "rejected 'svn'"]),
+])
+def test_bad_row_count_or_list_exits_two_naming_the_flag(corpus, tmp_path, capsys, command,
+                                                          flags, named):
+    code = main([command, "--data", str(corpus), "--out", str(tmp_path), *flags, *SPLIT_FLAGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert all(text in captured.err for text in named), captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mlp_epochs_zero_exits_two_before_training(corpus, tmp_path, capsys):

@@ -278,6 +278,40 @@ def test_backward_from_matches_finite_differences():
     assert max_relative_error(gradient_arrays(net), fd) < 1e-4
 
 
+def test_backward_from_through_a_final_softmax_matches_finite_differences():
+    # the fused loss skips the softmax's own backward; an upstream gradient runs it
+    rng = np.random.default_rng(79)
+    net = nn.init_network([nn.dense(3, 4), nn.sigmoid(4), nn.dense(4, 3), nn.softmax(3)],
+                          rng, learning_rate=0.01)
+    x = rng.normal(size=(5, 3))
+    r = rng.normal(size=(5, 3))
+
+    _, cache = nn.forward(net, x, mode="train")
+    nn.backward_from(cache, r)
+
+    def loss():
+        out, _ = nn.forward(net, x, mode="train")
+        return float(np.sum(out * r))
+
+    fd = finite_difference_gradients(loss, net.parameter_arrays())
+    assert max_relative_error(gradient_arrays(net), fd) < 1e-4
+
+
+def test_hidden_softmax_gradients_match_finite_differences():
+    rng = np.random.default_rng(80)
+    spec = [nn.dense(3, 4), nn.softmax(4), nn.dense(4, 2), nn.sigmoid(2)]
+    net = nn.init_network(spec, rng, learning_rate=0.01)
+    x = rng.normal(size=(5, 3))
+    targets = rng.integers(0, 2, size=(5, 2)).astype(np.float64)
+
+    _, cache = nn.forward(net, x, mode="train")
+    nn.backward(cache, targets)
+
+    fd = finite_difference_gradients(lambda: network_loss(net, x, targets, "bce"),
+                                     net.parameter_arrays())
+    assert max_relative_error(gradient_arrays(net), fd) < 1e-4
+
+
 def test_input_gradient_matches_finite_differences():
     # d(mean bce)/d(input) through dropout, as the generator update reads it
     # from the discriminator; the dropout mask is fixed by its seed

@@ -1,9 +1,10 @@
 """The shared CSV row writer against the f-string writers it replaced, byte
-for byte, on the values where printf and format-spec rendering could part."""
+for byte, on the values where printf and format-spec rendering could part and
+on tables that span several write blocks."""
 
 import numpy as np
 
-from ganbalance import augment, experiment, gan, metrics
+from ganbalance import augment, data, experiment, gan, metrics
 from ganbalance.data import Dataset
 from helpers import fresh_generator
 from oracles import (
@@ -20,9 +21,12 @@ EDGE_VALUES = [
 
 
 def _edge_table(n_columns: int) -> np.ndarray:
-    """Every edge value in every column, each column in a different order."""
+    """Every edge value in every column, each column in a different order,
+    then random rows: four write blocks' worth at this width, and 17 more."""
     values = np.array(EDGE_VALUES)
-    return np.column_stack([np.roll(values, j) for j in range(n_columns)])
+    edges = np.column_stack([np.roll(values, j) for j in range(n_columns)])
+    extra = 4 * (data.WRITE_CELLS // n_columns) + 17
+    return np.vstack([edges, np.random.default_rng(n_columns).random((extra, n_columns))])
 
 
 def _same_bytes(tmp_path, write, reference, *args) -> bool:
@@ -34,7 +38,7 @@ def _same_bytes(tmp_path, write, reference, *args) -> bool:
 def test_samples_csv_matches_fstring_writer(tmp_path):
     samples = np.vstack([
         _edge_table(4),
-        gan.generate(fresh_generator(4, seed=3), 50, np.random.default_rng(4)),
+        *gan.sample_blocks(fresh_generator(4, seed=3), 50, np.random.default_rng(4)),
     ])
 
     def write_in_blocks(rows, path):  # unequal blocks, from an iterator
@@ -47,7 +51,7 @@ def test_log_csv_matches_fstring_writer(tmp_path):
     positives = Dataset(np.random.default_rng(5).random((8, 3)), np.ones(8, dtype=np.int64))
     _, log = gan.train_gan(positives, gan.GanTrainConfig(epochs=6, seed=6, log_every=2))
     log += [(epoch, value, -value, float(value))
-            for epoch, value in enumerate(EDGE_VALUES, start=7)]
+            for epoch, value in enumerate(_edge_table(1)[:, 0], start=7)]
     assert _same_bytes(tmp_path, gan.write_log_csv, fstring_log_csv, log)
 
 
@@ -65,8 +69,8 @@ def test_roc_csv_matches_fstring_writer(tmp_path):
 
 def test_augmented_csv_matches_fstring_writer(tmp_path):
     rng = np.random.default_rng(9)
-    train = Dataset(np.vstack([_edge_table(3), rng.random((8, 3))]),
-                    np.array([1] * 4 + [0] * 16, dtype=np.int64))
+    features = _edge_table(3)
+    train = Dataset(features, (np.arange(len(features)) % 5 == 0).astype(np.int64))
     over = augment.random_oversample(train, rng)
     ganned = augment.gan_augment(train, fresh_generator(3, seed=10), rng)
 
