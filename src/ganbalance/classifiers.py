@@ -97,10 +97,17 @@ def _require_two_classes(labels: np.ndarray, what: str) -> None:
         raise DegenerateDataError(f"{what} needs both classes in the training data")
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _epoch_batches(x, targets, batch_size: int, rng: np.random.Generator):
+    """One epoch's minibatches of (x, targets) in a fresh random row order.
+
+    Both are copied once in the permutation's order and the batches are
+    contiguous slices of the copies, which holds the bytes of gathering each
+    batch's rows by index at a fraction of the per-step cost."""
+    order = rng.permutation(len(targets))
+    x_epoch = np.take(x, order, axis=0)
+    t_epoch = np.take(targets, order, axis=0)
+    for start in range(0, len(order), batch_size):
+        yield x_epoch[start : start + batch_size], t_epoch[start : start + batch_size]
 
 
 def _train_network(spec, x, targets, config: TrainConfig, default_lr, default_epochs):
@@ -109,9 +116,9 @@ def _train_network(spec, x, targets, config: TrainConfig, default_lr, default_ep
     rng = np.random.default_rng(config.seed)
     net = nn.init_network(spec, rng, config.learning_rate or default_lr)
     for _ in range(config.epochs or default_epochs):
-        for idx in _epoch_batches(len(targets), config.batch_size, rng):
-            _, cache = nn.forward(net, x[idx], mode="train")
-            nn.backward(cache, targets[idx])
+        for xb, tb in _epoch_batches(x, targets, config.batch_size, rng):
+            _, cache = nn.forward(net, xb, mode="train")
+            nn.backward(cache, tb)
             nn.adam_step(net)
     return net
 
@@ -137,15 +144,13 @@ def train_svm(data: Dataset, config: TrainConfig) -> LinearModel:
     b = 0.0
     lr = config.learning_rate or SVM_LR
     for _ in range(config.epochs or SVM_EPOCHS):
-        for idx in _epoch_batches(len(y), config.batch_size, rng):
-            xb = x[idx]
-            yb = y[idx]
+        for xb, yb in _epoch_batches(x, y, config.batch_size, rng):
             violating = yb * (xb @ w + b) < 1.0
             grad_w = 2.0 * SVM_LAMBDA * w
             y_violating = yb[violating]
             if y_violating.size:
-                grad_w = grad_w - (y_violating @ xb[violating]) / len(idx)
-                grad_b = -float(np.add.reduce(y_violating)) / len(idx)
+                grad_w = grad_w - (y_violating @ xb[violating]) / len(yb)
+                grad_b = -float(np.add.reduce(y_violating)) / len(yb)
             else:
                 grad_b = 0.0
             w -= lr * grad_w

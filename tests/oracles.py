@@ -6,9 +6,11 @@ from exhaustive enumeration, the split scan from a plain loop, Adam from one
 update per parameter array, CSV cells from one ``float()`` call each and
 trees from an argsort at every node, so a shared bug cannot hide in both
 routes.  The backward walk and the SVM loop are also kept here in their
-allocating form, to pin the in-place library versions to them bit for bit,
-and the output CSVs are written by one f-string per value, to pin the
-shared printf-style row writer to them byte for byte.
+allocating form, to pin the in-place library versions to them bit for bit.
+The SVM and network training loops gather each minibatch's rows by index,
+to pin the library's slices of one shuffled copy per epoch to them.  The
+output CSVs are written by one f-string per value, to pin the shared
+printf-style row writer to them byte for byte.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ganbalance import nn
 from ganbalance.classifiers import TreeNode
 from ganbalance.errors import CsvParseError, SchemaError
 
@@ -161,6 +164,22 @@ def reference_svm(features, labels, epochs, batch_size, learning_rate, regulariz
             w -= learning_rate * grad_w
             b -= learning_rate * grad_b
     return w, b, quiet
+
+
+def reference_train_network(spec, x, targets, epochs, batch_size, learning_rate, seed):
+    """Adam on minibatches of (x, targets), each gathered by index from one
+    rng.permutation per epoch, in the library's rng order.  Returns the
+    trained network."""
+    rng = np.random.default_rng(seed)
+    net = nn.init_network(spec, rng, learning_rate)
+    for _ in range(epochs):
+        order = rng.permutation(len(targets))
+        for start in range(0, len(targets), batch_size):
+            idx = order[start : start + batch_size]
+            _, cache = nn.forward(net, x[idx], mode="train")
+            nn.backward(cache, targets[idx])
+            nn.adam_step(net)
+    return net
 
 
 def pair_count_auc(y_true, scores) -> float:

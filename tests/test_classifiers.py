@@ -1,13 +1,21 @@
 """The four classifier trainers and the shared scoring interface."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ganbalance import classifiers as cl
+from ganbalance import nn
 from ganbalance.data import Dataset
 from ganbalance.errors import DegenerateDataError, ShapeError
 from helpers import gaussian_blobs
-from oracles import brute_force_best_split, per_node_argsort_tree, reference_svm
+from oracles import (
+    brute_force_best_split,
+    per_node_argsort_tree,
+    reference_svm,
+    reference_train_network,
+)
 
 
 def _separable_1d(n=60, margin=1.0, seed=0):
@@ -83,6 +91,38 @@ def test_svm_matches_reference_loop_bit_for_bit(dim, learning_rate):
     assert model.bias == b
     if learning_rate > cl.SVM_LR:
         assert quiet > 0  # the branch without margin violators ran too
+
+
+@pytest.mark.parametrize("dim", [10, 30])
+def test_network_trainers_match_reference_loop_bit_for_bit(dim):
+    # 400 rows in batches of 64: every epoch ends on a 16-row batch
+    ds = gaussian_blobs(np.random.default_rng(dim), n_pos=60, n_neg=340, dim=dim)
+    config = cl.TrainConfig(epochs=20, learning_rate=1e-2, seed=5)
+    args = (20, config.batch_size, 1e-2, 5)
+    logreg = cl.train_logreg(ds, config)
+    reference = reference_train_network([nn.dense(dim, 1), nn.sigmoid(1)], ds.features,
+                                        ds.labels.astype(np.float64).reshape(-1, 1), *args)
+    assert np.array_equal(logreg.weights, reference.layers[0].weights[:, 0])
+    assert logreg.bias == reference.layers[0].bias[0]
+    mlp = cl.train_mlp(ds, config)
+    reference = reference_train_network(cl.mlp_spec(dim), ds.features, np.eye(2)[ds.labels],
+                                        *args)
+    assert np.array_equal(mlp.flat, reference.flat)
+
+
+@pytest.mark.parametrize("trainer", [cl.train_svm, cl.train_logreg, cl.train_mlp],
+                         ids=lambda trainer: trainer.__name__)
+def test_fit_memory_peak_stays_below_three_feature_matrices(trainer):
+    # one shuffled copy of the rows per epoch, two at an epoch boundary; a
+    # copy kept for every epoch would pass 5x
+    ds = gaussian_blobs(np.random.default_rng(31), n_pos=4000, n_neg=16000, dim=30)
+    tracemalloc.start()
+    try:
+        trainer(ds, cl.TrainConfig(epochs=5, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ds.features.nbytes
 
 
 def test_svm_single_class_error():

@@ -7,6 +7,9 @@ and says why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,15 +64,34 @@ def table(tmp_path_factory):
     return path
 
 
+def _dynamic_arch_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+RUN_FLAGS = ["--mlp-epochs", "5", "--dump-augmented", *COMMON_FLAGS]
+
+
 def _digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out_dir.iterdir())}
 
 
 def test_run_outputs_match_pinned_digests(table, tmp_path):
-    code = main(["run", "--data", str(table), "--out", str(tmp_path),
-                 "--mlp-epochs", "5", "--dump-augmented", *COMMON_FLAGS])
+    code = main(["run", "--data", str(table), "--out", str(tmp_path), *RUN_FLAGS])
     assert code == 0
+    assert _digests(tmp_path) == RUN_DIGESTS
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="needs an OpenBLAS built with DYNAMIC_ARCH to pick its kernels")
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_run_outputs_match_pinned_digests_on_other_blas_kernels(table, tmp_path, core):
+    # minibatches reach BLAS as row-offset views into one shuffled copy per
+    # epoch; each core type's kernels must still give the pinned bytes
+    subprocess.run([sys.executable, "-m", "ganbalance.cli", "run", "--data", str(table),
+                    "--out", str(tmp_path), *RUN_FLAGS],
+                   check=True, capture_output=True, env={**os.environ, "OPENBLAS_CORETYPE": core})
     assert _digests(tmp_path) == RUN_DIGESTS
 
 
