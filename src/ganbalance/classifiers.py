@@ -4,15 +4,14 @@ decision tree, and a small MLP.
 All four expose the same scoring interface: predict_score returns a class-1
 score in [0,1] per row (sigmoid of the margin for the linear models, leaf
 class-1 fraction for the tree, softmax probability for the MLP).  The
-pipeline labels a row 1 iff its score is strictly above 0.5 (see
-``experiment._train_one``).
+pipeline labels a row 1 iff its score is strictly above
+``metrics.THRESHOLD``.
 Iterative trainers shuffle minibatches with a seeded generator each epoch,
 so equal seeds give bit-identical models.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,27 +28,22 @@ SVM_LAMBDA = 1e-4
 MLP_LR = 1e-5
 MLP_EPOCHS = 500
 MLP_HIDDEN = 30
+TREE_MAX_DEPTH = 8
 
 
 @dataclass
 class TrainConfig:
-    """Shared trainer knobs; None means use the model's default."""
+    """Shared trainer settings; epochs None means the model's default."""
 
     epochs: int | None = None
-    learning_rate: float | None = None
     batch_size: int = 64
-    max_depth: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs is not None and self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate is not None and not (
-            math.isfinite(self.learning_rate) and self.learning_rate > 0
-        ):
-            raise ValueError("learning_rate must be finite and positive")
-        if self.batch_size < 1 or self.max_depth < 1:
-            raise ValueError("batch_size and max_depth must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -97,29 +91,31 @@ def _require_two_classes(labels: np.ndarray, what: str) -> None:
         raise DegenerateDataError(f"{what} needs both classes in the training data")
 
 
-def _epoch_batches(x, targets, batch_size: int, rng: np.random.Generator):
-    """One epoch's minibatches of (x, targets) in a fresh random row order.
+def _minibatches(x, targets, epochs: int, batch_size: int, rng: np.random.Generator):
+    """Every epoch's minibatches of (x, targets), each epoch in a fresh random
+    row order.  One row buffer and one target buffer, refilled each epoch in
+    the permutation's order, serve the whole fit, so a batch is valid until the
+    next epoch.  mode="clip" lets np.take write into ``out`` directly ("raise"
+    buffers it); a permutation's indices never need clipping."""
+    x_epoch, t_epoch = np.empty_like(x), np.empty_like(targets)
+    for _ in range(epochs):
+        order = rng.permutation(len(targets))
+        np.take(x, order, axis=0, out=x_epoch, mode="clip")
+        np.take(targets, order, axis=0, out=t_epoch, mode="clip")
+        for start in range(0, len(order), batch_size):
+            yield x_epoch[start : start + batch_size], t_epoch[start : start + batch_size]
 
-    Both are copied once in the permutation's order and the batches are
-    contiguous slices of the copies, which holds the bytes of gathering each
-    batch's rows by index at a fraction of the per-step cost."""
-    order = rng.permutation(len(targets))
-    x_epoch = np.take(x, order, axis=0)
-    t_epoch = np.take(targets, order, axis=0)
-    for start in range(0, len(order), batch_size):
-        yield x_epoch[start : start + batch_size], t_epoch[start : start + batch_size]
 
-
-def _train_network(spec, x, targets, config: TrainConfig, default_lr, default_epochs):
+def _train_network(spec, x, targets, config: TrainConfig, learning_rate, default_epochs):
     """Adam on minibatches of (x, targets), reshuffled every epoch; the loss
     follows from the spec's last layer."""
     rng = np.random.default_rng(config.seed)
-    net = nn.init_network(spec, rng, config.learning_rate or default_lr)
-    for _ in range(config.epochs or default_epochs):
-        for xb, tb in _epoch_batches(x, targets, config.batch_size, rng):
-            _, cache = nn.forward(net, xb, mode="train")
-            nn.backward(cache, tb)
-            nn.adam_step(net)
+    net = nn.init_network(spec, rng, learning_rate)
+    epochs = config.epochs or default_epochs
+    for xb, tb in _minibatches(x, targets, epochs, config.batch_size, rng):
+        _, cache = nn.forward(net, xb, mode="train")
+        nn.backward(cache, tb)
+        nn.adam_step(net)
     return net
 
 
@@ -138,29 +134,24 @@ def train_svm(data: Dataset, config: TrainConfig) -> LinearModel:
     _require_two_classes(data.labels, "SVM")
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y = np.where(data.labels == 1, 1.0, -1.0)
-    d = x.shape[1]
     rng = np.random.default_rng(config.seed)
-    w = np.zeros(d)
+    w = np.zeros(x.shape[1])
     b = 0.0
-    lr = config.learning_rate or SVM_LR
-    for _ in range(config.epochs or SVM_EPOCHS):
-        for xb, yb in _epoch_batches(x, y, config.batch_size, rng):
-            violating = yb * (xb @ w + b) < 1.0
-            grad_w = 2.0 * SVM_LAMBDA * w
-            y_violating = yb[violating]
-            if y_violating.size:
-                grad_w = grad_w - (y_violating @ xb[violating]) / len(yb)
-                grad_b = -float(np.add.reduce(y_violating)) / len(yb)
-            else:
-                grad_b = 0.0
-            w -= lr * grad_w
-            b -= lr * grad_b
+    for xb, yb in _minibatches(x, y, config.epochs or SVM_EPOCHS, config.batch_size, rng):
+        violating = yb * (xb @ w + b) < 1.0
+        grad_w = 2.0 * SVM_LAMBDA * w
+        y_violating = yb[violating]
+        if y_violating.size:
+            grad_w = grad_w - (y_violating @ xb[violating]) / len(yb)
+            grad_b = -float(np.add.reduce(y_violating)) / len(yb)
+        else:
+            grad_b = 0.0
+        w -= SVM_LR * grad_w
+        b -= SVM_LR * grad_b
     return LinearModel(w, b)
 
 
-def _grow_tree(
-    x: np.ndarray, y: np.ndarray, sorted_rows: np.ndarray, depth: int, config: TrainConfig
-) -> TreeNode:
+def _grow_tree(x: np.ndarray, y: np.ndarray, sorted_rows: np.ndarray, depth: int) -> TreeNode:
     """Grow the subtree over the rows in sorted_rows.
 
     sorted_rows[j] lists the node's row indices ordered by column j, ties in
@@ -171,7 +162,7 @@ def _grow_tree(
     n = sorted_rows.shape[1]
     n_pos = int(np.sum(y[sorted_rows[0]]))
     prob = n_pos / n
-    if n_pos in (0, n) or depth >= config.max_depth:
+    if n_pos in (0, n) or depth >= TREE_MAX_DEPTH:
         return TreeNode(prob=prob)
 
     # best split over features in ascending index order; strict > keeps the
@@ -198,8 +189,8 @@ def _grow_tree(
         prob=prob,
         feature=best_feature,
         threshold=best_threshold,
-        left=_grow_tree(x, y, sorted_rows[left].reshape(-1, n_left), depth + 1, config),
-        right=_grow_tree(x, y, sorted_rows[~left].reshape(-1, n - n_left), depth + 1, config),
+        left=_grow_tree(x, y, sorted_rows[left].reshape(-1, n_left), depth + 1),
+        right=_grow_tree(x, y, sorted_rows[~left].reshape(-1, n - n_left), depth + 1),
     )
 
 
@@ -209,17 +200,14 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
     Candidate splits sit halfway between consecutive distinct sorted values;
     a node splits on the candidate with the largest impurity decrease (even a
     zero decrease, so patterns like XOR still separate), stopping at purity
-    or max_depth.  Each column is sorted once, at the root.
+    or TREE_MAX_DEPTH; ``config`` is not read.  Each column is sorted once, at
+    the root.
     """
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y = data.labels.astype(np.int64)
     if len(y) < 1:
         raise ValueError("decision tree needs at least one row")
-    # a table without feature columns still needs the root's row list
-    sorted_rows = (
-        np.argsort(x.T, axis=1, kind="stable") if x.shape[1] else np.arange(len(y))[None]
-    )
-    root = _grow_tree(x, y, sorted_rows, 0, config)
+    root = _grow_tree(x, y, np.argsort(x.T, axis=1, kind="stable"), 0)
     return DecisionTreeModel(root, x.shape[1])
 
 

@@ -77,7 +77,8 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
     Every body cell must be a finite number (see ``_cell_value``).  Raises
     CsvParseError with 1-based file row/column positions for malformed or
     non-finite cells, blank lines and ragged rows, and SchemaError for a
-    missing label column or non-binary labels.
+    missing label column, a header with no feature column, or non-binary
+    labels.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -90,6 +91,8 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
             raise SchemaError(
                 f"{path}: no {label_column!r} column among {header}"
             )
+        if len(header) == 1:
+            raise SchemaError(f"{path}: no feature column besides {label_column!r}")
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
         values = _read_body(fh, len(header))
@@ -192,11 +195,8 @@ def dedup(table: RawTable) -> RawTable:
     features = np.ascontiguousarray(table.features)
     n, d = features.shape
     # equal rows sort next to each other, earliest file position first
-    if d:
-        rows = features.view([(f"f{j}", features.dtype) for j in range(d)]).ravel()
-        order = np.argsort(rows, kind="stable")
-    else:
-        order = np.arange(n)
+    rows = features.view([(f"f{j}", features.dtype) for j in range(d)]).ravel()
+    order = np.argsort(rows, kind="stable")
     order = order[np.argsort(table.labels[order], kind="stable")]
     # candidate pairs of sort neighbours, narrowed one column at a time
     later, earlier = order[1:], order[:-1]

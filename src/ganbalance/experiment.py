@@ -130,10 +130,8 @@ def _train_one(mode, model_name, train_set, test_set, config):
             raise train_set
         model = _TRAINERS[model_name](train_set, train_cfg)
         scores = classifiers.predict_score(model, test_set.features)
-        predicted = (scores > 0.5).astype(np.int64)
-        cm = metrics.confusion(test_set.labels, predicted)
         curve, auc = metrics.roc_auc(test_set.labels, scores)
-        report = metrics.compute_metrics(cm, auc)
+        report = metrics.compute_metrics(test_set.labels, scores, auc)
     except GanBalanceError as exc:
         return RunResult(mode, model_name, None, time.perf_counter() - started,
                          error=f"{type(exc).__name__}: {exc}")

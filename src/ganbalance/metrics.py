@@ -1,4 +1,4 @@
-"""Confusion-matrix scores and ROC/AUC for binary classifiers.
+"""Scores at THRESHOLD and ROC/AUC for binary classifiers.
 
 Ratio metrics use the 0/0 -> 0 convention so reports stay total even for
 degenerate predictions.  The ROC curve sweeps unique score values as
@@ -14,17 +14,7 @@ import numpy as np
 
 from ganbalance.errors import PreconditionError, ShapeError, UndefinedAucError
 
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+THRESHOLD = 0.5  # a row is labelled 1 iff its score is strictly above it
 
 
 @dataclass(frozen=True)
@@ -42,35 +32,34 @@ def _check_binary(name: str, values: np.ndarray) -> None:
         raise PreconditionError(f"{name} must contain only 0 and 1")
 
 
-def confusion(y_true, y_pred) -> ConfusionMatrix:
-    t = np.asarray(y_true)
-    p = np.asarray(y_pred)
-    if t.shape != p.shape or t.ndim != 1:
-        raise ShapeError(f"label vectors must match: {t.shape} vs {p.shape}")
-    _check_binary("y_true", t)
-    _check_binary("y_pred", p)
-    tp = int(np.sum((t == 1) & (p == 1)))
-    fp = int(np.sum((t == 0) & (p == 1)))
-    tn = int(np.sum((t == 0) & (p == 0)))
-    fn = int(np.sum((t == 1) & (p == 0)))
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
 def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def compute_metrics(cm: ConfusionMatrix, auc: float) -> MetricsReport:
-    if cm.total <= 0:
-        raise PreconditionError("confusion matrix is empty")
-    recall = _ratio(cm.tp, cm.tp + cm.fn)
-    precision = _ratio(cm.tp, cm.tp + cm.fp)
+def compute_metrics(y_true, scores, auc: float) -> MetricsReport:
+    """Accuracy, recall, precision, F1 and specificity of labelling each row
+    1 iff its score is strictly above THRESHOLD, against the 0/1 truth
+    ``y_true``; ``auc`` is passed through."""
+    t = np.asarray(y_true)
+    predicted = np.asarray(scores) > THRESHOLD
+    if t.shape != predicted.shape or t.ndim != 1:
+        raise ShapeError(f"labels/scores must match: {t.shape} vs {predicted.shape}")
+    _check_binary("y_true", t)
+    if t.size == 0:
+        raise PreconditionError("no rows to score")
+    actual = t == 1
+    tp = int(np.sum(actual & predicted))
+    fp = int(np.sum(predicted)) - tp
+    fn = int(np.sum(actual)) - tp
+    tn = t.size - tp - fp - fn
+    recall = _ratio(tp, tp + fn)
+    precision = _ratio(tp, tp + fp)
     return MetricsReport(
-        accuracy=(cm.tp + cm.tn) / cm.total,
+        accuracy=(tp + tn) / t.size,
         recall=recall,
         precision=precision,
         f1=_ratio(2.0 * precision * recall, precision + recall),
-        specificity=_ratio(cm.tn, cm.tn + cm.fp),
+        specificity=_ratio(tn, tn + fp),
         auc_roc=float(auc),
     )
 

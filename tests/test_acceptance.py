@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ganbalance import augment, gan, metrics, nn
+from ganbalance import augment, classifiers, gan, metrics, nn
 from ganbalance.classifiers import TrainConfig, train_tree
 from ganbalance.cli import main
 from ganbalance.data import Dataset
@@ -125,7 +125,8 @@ def test_c2_trapezoid_auc_equals_pair_counting(capsys):
 # --- criterion 3: tree-split oracle ------------------------------------------
 
 
-def test_c3_root_splits_match_exhaustive_gini(capsys):
+def test_c3_root_splits_match_exhaustive_gini(capsys, monkeypatch):
+    monkeypatch.setattr(classifiers, "TREE_MAX_DEPTH", 1)
     rng = np.random.default_rng(777)
     started = time.perf_counter()
     mismatches = 0
@@ -134,8 +135,7 @@ def test_c3_root_splits_match_exhaustive_gini(capsys):
         d = int(rng.integers(1, 5))
         x = rng.integers(0, 4, size=(n, d)).astype(np.float64)
         y = rng.integers(0, 2, size=n).astype(np.int64)
-        config = TrainConfig(max_depth=1, seed=0)
-        root = train_tree(Dataset(x, y), config).root
+        root = train_tree(Dataset(x, y), TrainConfig(seed=0)).root
         expected = None if len(np.unique(y)) < 2 else brute_force_best_split(x, y, 1)
         if expected is None:
             if not root.is_leaf:

@@ -84,6 +84,17 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_label_only_file_exits_two_naming_the_missing_features(tmp_path, capsys):
+    path = tmp_path / "labels.csv"
+    path.write_text("Class\n" + "1\n0\n" * 200)
+    out = tmp_path / "out"
+    code = main(["run", "--data", str(path), "--out", str(out), *SPLIT_FLAGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "no feature column" in captured.err
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_mode_exits_two(corpus, tmp_path, capsys):
     # an unknown mode, then the --save-models flag, which no longer exists
     for extra in (["--modes", "bogus"], ["--modes", "raw", "--models", "dt", "--save-models"]):

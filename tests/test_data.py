@@ -62,6 +62,12 @@ def test_load_csv_missing_label_column(tmp_path):
         data.load_csv(path)
 
 
+@pytest.mark.parametrize("text", ["Class\n1\n0\n", "Class\n"])
+def test_load_csv_rejects_a_table_without_feature_columns(tmp_path, text):
+    with pytest.raises(SchemaError, match="no feature column besides 'Class'"):
+        data.load_csv(_write(tmp_path, text))
+
+
 def test_load_csv_non_binary_label(tmp_path):
     path = _write(tmp_path, "a,Class\n1.0,2\n")
     with pytest.raises(SchemaError):
@@ -333,7 +339,7 @@ def _feature_cell(draw):
 @st.composite
 def _csv_lines(draw, min_rows=0):
     """(lines, label column index) of a valid table: a header, then rows."""
-    n_features = draw(st.integers(0, 4))
+    n_features = draw(st.integers(1, 4))
     n_rows = draw(st.integers(min_rows, 8))
     label_idx = draw(st.integers(0, n_features))
     header = [f"c{j}" for j in range(n_features)]
@@ -435,7 +441,7 @@ def test_load_csv_reports_the_reference_error(tmp_path, lines, newline):
         min_size=1, max_size=6,
     ),
     picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), max_size=40),
-    n_features=st.integers(0, 3),
+    n_features=st.integers(1, 3),
 )
 def test_dedup_matches_np_unique(pool, picks, n_features):
     features = np.array([pool[i % len(pool)][:n_features] for i, _ in picks],

@@ -1,4 +1,4 @@
-"""Confusion matrix, derived scores, and ROC/AUC against a pair-counting oracle."""
+"""Threshold scores and ROC/AUC against a pair-counting oracle."""
 
 import numpy as np
 import pytest
@@ -8,36 +8,46 @@ from ganbalance.errors import PreconditionError, ShapeError, UndefinedAucError
 from oracles import pair_count_auc
 
 
+def _scored(tp=0, fp=0, tn=0, fn=0):
+    """Truth and scores whose labels at THRESHOLD give these four counts."""
+    counts = [tp, fp, tn, fn]
+    return np.repeat([1, 0, 0, 1], counts), np.repeat([0.9, 0.9, 0.1, 0.1], counts)
+
+
 def test_confusion_perfect():
-    cm = metrics.confusion([1, 0], [1, 0])
-    assert (cm.tp, cm.tn, cm.fp, cm.fn) == (1, 1, 0, 0)
+    rep = metrics.compute_metrics([1, 0], [0.7, 0.2], auc=1.0)
+    assert (rep.accuracy, rep.recall, rep.specificity) == (1.0, 1.0, 1.0)
 
 
 def test_confusion_total_confusion():
-    cm = metrics.confusion([1, 1, 0, 0], [0, 0, 1, 1])
-    assert (cm.tp, cm.tn, cm.fp, cm.fn) == (0, 0, 2, 2)
+    rep = metrics.compute_metrics([1, 1, 0, 0], [0.2, 0.4, 0.6, 0.8], auc=0.0)
+    assert (rep.accuracy, rep.recall, rep.precision, rep.specificity) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_confusion_hand_count():
-    cm = metrics.confusion([1, 0, 1, 0, 0], [1, 1, 0, 0, 0])
-    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 1, 1, 2)
+    # predicted [1, 1, 0, 0, 0]: a score equal to THRESHOLD labels its row 0
+    scores = [0.9, 0.6, metrics.THRESHOLD, 0.1, metrics.THRESHOLD]
+    rep = metrics.compute_metrics([1, 0, 1, 0, 0], scores, auc=0.5)
+    # tp=1 fp=1 fn=1 tn=2
+    assert (rep.accuracy, rep.recall, rep.precision) == (3 / 5, 1 / 2, 1 / 2)
+    assert rep.specificity == 2 / 3
 
 
 def test_confusion_validates_inputs():
     with pytest.raises(ShapeError):
-        metrics.confusion([1, 0], [1])
+        metrics.compute_metrics([1, 0], [0.9], auc=0.5)
     with pytest.raises(PreconditionError):
-        metrics.confusion([1, 2], [1, 0])
+        metrics.compute_metrics([1, 2], [0.9, 0.1], auc=0.5)
 
 
 def test_compute_metrics_perfect():
-    rep = metrics.compute_metrics(metrics.ConfusionMatrix(1, 0, 1, 0), auc=1.0)
+    rep = metrics.compute_metrics(*_scored(tp=1, tn=1), auc=1.0)
     assert rep.accuracy == rep.recall == rep.precision == rep.f1 == rep.specificity == 1.0
 
 
 def test_compute_metrics_degenerate_zero_convention():
     # no predicted positives and no true positives: precision = recall = 0
-    rep = metrics.compute_metrics(metrics.ConfusionMatrix(tp=0, fp=0, tn=3, fn=2), auc=0.5)
+    rep = metrics.compute_metrics(*_scored(tp=0, fp=0, tn=3, fn=2), auc=0.5)
     assert rep.precision == 0.0
     assert rep.recall == 0.0
     assert rep.f1 == 0.0
@@ -45,13 +55,12 @@ def test_compute_metrics_degenerate_zero_convention():
 
 def test_compute_metrics_empty_matrix():
     with pytest.raises(PreconditionError):
-        metrics.compute_metrics(metrics.ConfusionMatrix(0, 0, 0, 0), auc=0.5)
+        metrics.compute_metrics([], [], auc=0.5)
 
 
 def test_compute_metrics_fraud_sized_example():
     # 5000-row test set: 125 caught frauds, 33 missed, 3 false alarms
-    cm = metrics.ConfusionMatrix(tp=125, fn=33, fp=3, tn=4839)
-    rep = metrics.compute_metrics(cm, auc=0.89)
+    rep = metrics.compute_metrics(*_scored(tp=125, fn=33, fp=3, tn=4839), auc=0.89)
     assert abs(rep.accuracy - 0.9928) < 1e-12
     assert abs(rep.recall - 125 / 158) < 1e-12
     assert abs(rep.precision - 125 / 128) < 1e-12
@@ -65,8 +74,7 @@ def test_metrics_bounds():
         counts = rng.integers(0, 40, size=4)
         if counts.sum() == 0:
             continue
-        cm = metrics.ConfusionMatrix(*map(int, counts))
-        rep = metrics.compute_metrics(cm, auc=float(rng.random()))
+        rep = metrics.compute_metrics(*_scored(*map(int, counts)), auc=float(rng.random()))
         for value in (rep.accuracy, rep.recall, rep.precision, rep.f1,
                       rep.specificity, rep.auc_roc):
             assert 0.0 <= value <= 1.0

@@ -5,10 +5,13 @@ the references other modules captured (module attributes and dict values such
 as ``experiment._TRAINERS``).  A trainer or other counted function reached
 any other way escapes the trace, and ``checks.check_trace_facts`` then
 reports missing Adam updates or AUCs.  The tracer rewraps every module
-function, so each run happens in its own process.
+function, so each run happens in its own process.  ``perfbench/microbench.py``
+calls the trainers and builds their configs itself, so it runs here too, at
+its smallest size.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +24,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import checks  # noqa: E402
+import microbench  # noqa: E402
 from workloads import Split, Table, Workload  # noqa: E402
 
 TABLE = Table("tiny", 4, positives=60, negatives=400, dup_positives=2, dup_negatives=3)
@@ -66,3 +70,11 @@ def test_traced_cli_run_meets_the_trace_checks(workload, table_csv, tmp_path):
     facts = json.loads(trace_path.read_text())["facts"]
     assert checks.check_trace_facts(facts, workload) == []
     assert checks.check_outputs(out_dir, workload) == []
+
+
+def test_microbench_runs_against_the_library(monkeypatch):
+    monkeypatch.setattr(microbench, "ROWS", 2 * microbench.BATCH)
+    monkeypatch.setattr(microbench, "REPEATS", 1)
+    steps = microbench.main()
+    assert set(steps) == {"mlp", "logreg", "gan"}
+    assert all(math.isfinite(us) for us in steps.values())

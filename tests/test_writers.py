@@ -60,7 +60,7 @@ def test_roc_csv_matches_fstring_writer(tmp_path):
     labels = np.array([0, 1] * 20, dtype=np.int64)
     curve, auc = metrics.roc_auc(labels, rng.random(40))
     points = np.vstack([curve, _edge_table(2)])
-    report = metrics.compute_metrics(metrics.confusion(labels, labels), auc)
+    report = metrics.compute_metrics(labels, labels, auc)
     result = experiment.RunResult("raw", "dt", report, 0.0, roc=points)
     experiment.emit_outputs([result], tmp_path)
     fstring_roc_csv(points, tmp_path / "ref.csv")
