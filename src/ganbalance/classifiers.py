@@ -113,7 +113,7 @@ def _train_network(spec, x, targets, config: TrainConfig, learning_rate, default
     net = nn.init_network(spec, rng, learning_rate)
     epochs = config.epochs or default_epochs
     for xb, tb in _minibatches(x, targets, epochs, config.batch_size, rng):
-        _, cache = nn.forward(net, xb, mode="train")
+        _, cache = nn.forward(net, xb)
         nn.backward(cache, tb)
         nn.adam_step(net)
     return net
@@ -250,6 +250,5 @@ def predict_score(model, X) -> np.ndarray:
         return out
     if isinstance(model, nn.Network):
         _check_width(x, model.spec[0].input_dim)
-        probs, _ = nn.forward(model, x, mode="infer")
-        return probs[:, 1]
+        return nn.predict(model, x)[:, 1]
     raise TypeError(f"unknown model type {type(model).__name__}")

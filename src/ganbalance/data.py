@@ -77,8 +77,8 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
     Every body cell must be a finite number (see ``_cell_value``).  Raises
     CsvParseError with 1-based file row/column positions for malformed or
     non-finite cells, blank lines and ragged rows, and SchemaError for a
-    missing label column, a header with no feature column, or non-binary
-    labels.
+    label column that is missing or named twice, a header with no feature
+    column, or non-binary labels.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -87,13 +87,15 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
         header = [name.strip() for name in header]
-        if label_column not in header:
-            raise SchemaError(
-                f"{path}: no {label_column!r} column among {header}"
-            )
+        columns = [i + 1 for i, name in enumerate(header) if name == label_column]
+        if not columns:
+            raise SchemaError(f"{path}: no {label_column!r} column among {header}")
+        if len(columns) > 1:
+            raise SchemaError(f"{path}: the label {label_column!r} names columns "
+                              f"{', '.join(map(str, columns))}; it must name one")
         if len(header) == 1:
             raise SchemaError(f"{path}: no feature column besides {label_column!r}")
-        label_idx = header.index(label_column)
+        label_idx = columns[0] - 1
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
         values = _read_body(fh, len(header))
 

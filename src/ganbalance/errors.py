@@ -43,7 +43,7 @@ class UndefinedAucError(GanBalanceError, ValueError):
 
 
 class ConsistencyError(GanBalanceError, RuntimeError):
-    """A forward cache does not match the network it is replayed against."""
+    """A network cannot serve the operation asked of it (e.g. backward without a loss layer)."""
 
 
 class GanStalledError(GanBalanceError, RuntimeError):

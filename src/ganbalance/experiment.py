@@ -68,6 +68,9 @@ class ExperimentConfig:
                                  f"{detail}")
         if self.mlp_epochs is not None and self.mlp_epochs < 1:
             raise ValueError("mlp_epochs (--mlp-epochs) must be >= 1")
+        if self.dump_augmented and set(self.modes) == {"raw"}:
+            raise ValueError("dump_augmented (--dump-augmented) needs an augmented mode, "
+                             f"but modes (--modes) are {', '.join(self.modes)}")
         if self.gan.seed != GanTrainConfig.seed:
             raise ValueError("gan.seed is not read: the GAN's seeds derive from seed")
 

@@ -113,16 +113,16 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, l
         for epoch in range(1, config.epochs + 1):
             # discriminator step: real batch vs freshly generated batch
             real = x[rng.choice(n, size=batch, replace=False)]
-            fake, _ = nn.forward(gen, sample_noise(batch, rng), mode="train")
-            disc_out, disc_cache = nn.forward(disc, np.vstack([real, fake]), mode="train", rng=rng)
+            fake, _ = nn.forward(gen, sample_noise(batch, rng))
+            disc_out, disc_cache = nn.forward(disc, np.vstack([real, fake]), rng=rng)
             disc_loss = nn.loss_bce(disc_out, disc_targets)
             disc_acc = float(np.mean((disc_out > 0.5).astype(np.int64) == disc_targets))
             nn.backward(disc_cache, disc_targets)
             nn.adam_step(disc)
 
             # generator step: push fakes toward the discriminator's "real" label
-            fake, gen_cache = nn.forward(gen, sample_noise(batch, rng), mode="train")
-            disc_out, disc_cache = nn.forward(disc, fake, mode="train", rng=rng)
+            fake, gen_cache = nn.forward(gen, sample_noise(batch, rng))
+            disc_out, disc_cache = nn.forward(disc, fake, rng=rng)
             gen_loss = nn.loss_bce(disc_out, real_labels)
             nn.backward_from(gen_cache, nn.input_gradient(disc_cache, real_labels))
             stalled = 0 if gen.grads.any() else stalled + 1
@@ -153,7 +153,7 @@ def sample_blocks(network: nn.Network, n: int, rng: np.random.Generator):
 
 def _sample_block(network: nn.Network, rows: int, rng: np.random.Generator) -> np.ndarray:
     with np.errstate(over="ignore"):  # a saturated sigmoid is exact; see train_gan
-        block = nn.forward(network, sample_noise(rows, rng), mode="infer")[0]
+        block = nn.predict(network, sample_noise(rows, rng))
     # sigmoid saturates to exactly 0.0/1.0 for |z| > ~37: nudge into (0, 1)
     return np.clip(block, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=block)
 

@@ -4,10 +4,11 @@ A network is described by a flat list of :class:`LayerSpec` entries (dense,
 relu, sigmoid, softmax, batchnorm, dropout) and held as one :class:`Network`
 value: the validated spec, the learned parameters mirroring it
 layer-for-layer, their gradients and the Adam state.  One training step is
-``forward(net, x, "train")``, whose cache records ``net``; then
-``backward(cache, targets)``, which writes the gradients into ``net``; then
-``adam_step(net)``, which applies them.  Everything runs in float64; training
-is deterministic given the caller's seeded generator.
+``forward(net, x)``, whose cache records ``net``; then ``backward(cache,
+targets)``, which writes the gradients into ``net``; then ``adam_step(net)``,
+which applies them.  ``predict(net, x)`` runs a trained network.  Everything
+runs in float64; training is deterministic given the caller's seeded
+generator.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Network:
 
     ``layers`` holds one entry per spec layer (None for stateless layers).
     Every Adam-trained array (dense weights/bias, batchnorm gamma/beta) is a
-    view into ``flat``, one float64 vector in ``parameter_arrays()`` order.
+    view into ``flat``, one float64 vector in spec order.
     ``grads`` is laid out as ``flat``: :func:`backward` and
     :func:`backward_from` overwrite it through ``grad_layers``, one pair of
     views per trained layer (None elsewhere), and :func:`adam_step` reads it.
@@ -126,15 +127,6 @@ class Network:
     grad_layers: tuple
     adam_scratch: tuple
     step_count: int = 0
-
-    def parameter_arrays(self) -> list[np.ndarray]:
-        out = []
-        for entry in self.layers:
-            if isinstance(entry, DenseParams):
-                out.extend((entry.weights, entry.bias))
-            elif isinstance(entry, BatchNormParams):
-                out.extend((entry.gamma, entry.beta))
-        return out
 
 
 def _trained_size(layer: LayerSpec) -> int:
@@ -184,71 +176,74 @@ def init_network(spec, rng: np.random.Generator, learning_rate: float) -> Networ
 @dataclass
 class ForwardCache:
     network: Network
-    mode: str
     layer_data: list
     output: np.ndarray
 
 
-def forward(
-    net: Network,
-    x,
-    mode: str = "train",
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on a (batch, features) matrix.
-
-    Train mode applies dropout (needs ``rng``) and batch statistics, updating
-    batchnorm running averages in place; infer mode is deterministic and uses
-    the running statistics.
-    """
-    if mode not in ("train", "infer"):
-        raise PreconditionError(f"mode must be 'train' or 'infer', got {mode!r}")
+def _input(net: Network, x) -> np.ndarray:
     h = np.ascontiguousarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ShapeError(f"input must be 2-D, got shape {h.shape}")
     if h.shape[1] != net.spec[0].input_dim:
-        raise ShapeError(
-            f"input has {h.shape[1]} columns, first layer expects {net.spec[0].input_dim}"
-        )
-    if mode == "train" and rng is None and net.has_dropout:
-        raise PreconditionError("training with dropout layers requires an rng")
+        raise ShapeError(f"input has {h.shape[1]} columns, first layer expects "
+                         f"{net.spec[0].input_dim}")
+    return h
 
-    # infer mode records nothing (backward refuses its cache), so each
-    # activation is freed once the next layer has read it
+
+def forward(net: Network, x, rng=None) -> tuple[np.ndarray, ForwardCache]:
+    """The training pass over a (batch, features) matrix: dropout draws its
+    masks from the numpy Generator ``rng`` (required when the spec has
+    dropout) and batchnorm uses batch statistics, updating its running
+    averages in place.  The cache records what :func:`backward` reads."""
+    h = _input(net, x)
+    if rng is None and net.has_dropout:
+        raise PreconditionError("training with dropout layers requires an rng")
     layer_data = []
-    keep = layer_data.append if mode == "train" else (lambda entry: None)
     for layer, params in zip(net.spec, net.layers):
         if layer.kind == "dense":
-            keep(("dense", h))
+            layer_data.append(("dense", h))
             h = kernels.dense_forward(h, params.weights, params.bias)
         elif layer.kind == "relu":
-            keep(("relu", h))  # infer: in place, unless h may still be the caller's x
-            inplace = mode == "infer" and not np.may_share_memory(h, x)
-            h = kernels.relu_forward(h, out=h if inplace else None)
+            layer_data.append(("relu", h))
+            h = kernels.relu_forward(h)
         elif layer.kind == "sigmoid":
             h = kernels.sigmoid_forward(h)
-            keep(("sigmoid", h))
+            layer_data.append(("sigmoid", h))
         elif layer.kind == "softmax":
             h = kernels.softmax_forward(h)
-            keep(("softmax", h))
+            layer_data.append(("softmax", h))
         elif layer.kind == "batchnorm":
-            if mode == "train":
-                h, xhat, mean, var = kernels.batchnorm_train_forward(
-                    h, params.gamma, params.beta, BATCHNORM_EPS
-                )
-                m = BATCHNORM_MOMENTUM
-                params.running_mean[...] = m * params.running_mean + (1.0 - m) * mean
-                params.running_var[...] = m * params.running_var + (1.0 - m) * var
-                keep(("batchnorm", xhat, var))
-            else:
-                h = kernels.batchnorm_infer_forward(h, params.gamma, params.beta,
-                                                    params.running_mean, params.running_var,
-                                                    BATCHNORM_EPS)
-        elif layer.kind == "dropout" and mode == "train":
+            h, xhat, mean, var = kernels.batchnorm_train_forward(h, params.gamma, params.beta,
+                                                                 BATCHNORM_EPS)
+            m = BATCHNORM_MOMENTUM
+            params.running_mean[...] = m * params.running_mean + (1.0 - m) * mean
+            params.running_var[...] = m * params.running_var + (1.0 - m) * var
+            layer_data.append(("batchnorm", xhat, var))
+        elif layer.kind == "dropout":
             mult = (rng.random(h.shape) >= layer.rate) / (1.0 - layer.rate)
             h = h * mult
-            keep(("dropout", mult))
-    return h, ForwardCache(net, mode, layer_data, h)
+            layer_data.append(("dropout", mult))
+    return h, ForwardCache(net, layer_data, h)
+
+
+def predict(net: Network, x) -> np.ndarray:
+    """The inference pass: batchnorm uses its running statistics, dropout is
+    the identity, and nothing is recorded, so each activation is freed once
+    the next layer has read it.  Deterministic given ``net``."""
+    h = _input(net, x)
+    for layer, params in zip(net.spec, net.layers):
+        if layer.kind == "dense":
+            h = kernels.dense_forward(h, params.weights, params.bias)
+        elif layer.kind == "relu":  # in place, unless h may still be the caller's x
+            h = kernels.relu_forward(h, out=None if np.may_share_memory(h, x) else h)
+        elif layer.kind == "sigmoid":
+            h = kernels.sigmoid_forward(h)
+        elif layer.kind == "softmax":
+            h = kernels.softmax_forward(h)
+        elif layer.kind == "batchnorm":
+            h = kernels.batchnorm_infer_forward(h, params.gamma, params.beta, params.running_mean,
+                                                params.running_var, BATCHNORM_EPS)
+    return h
 
 
 def loss_bce(predicted, target) -> float:
@@ -276,11 +271,6 @@ def loss_categorical_ce(predicted, target) -> float:
 def _softmax_backward(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
     inner = np.sum(delta * y, axis=1, keepdims=True)
     return y * (delta - inner)
-
-
-def _check_cache(cache: ForwardCache) -> None:
-    if cache.mode != "train":
-        raise ConsistencyError("backward requires a cache from a train-mode forward")
 
 
 def _walk_backward(cache: ForwardCache, delta, start, fill: bool):
@@ -316,7 +306,6 @@ def _walk_backward(cache: ForwardCache, delta, start, fill: bool):
 
 def _loss_delta(cache: ForwardCache, targets) -> np.ndarray:
     """d(mean loss)/d(input of the last layer), as :func:`backward` defines the loss."""
-    _check_cache(cache)
     t = np.asarray(targets, dtype=np.float64)
     p = cache.output
     if p.shape != t.shape:
@@ -345,7 +334,6 @@ def backward(cache: ForwardCache, targets) -> None:
 def backward_from(cache: ForwardCache, grad_output) -> None:
     """Backpropagate an upstream gradient (chains networks, e.g. GAN G<-D)
     into the network's ``grads``, as :func:`backward` does."""
-    _check_cache(cache)
     delta = np.asarray(grad_output, dtype=np.float64)
     if delta.shape != cache.output.shape:
         raise ShapeError(

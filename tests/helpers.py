@@ -9,21 +9,35 @@ from ganbalance import gan, nn
 from ganbalance.data import Dataset
 
 HIDDEN_KINDS = ("relu", "sigmoid", "batchnorm", "dropout")
+# the numpy release whose output digests the tests pin (other releases may round differently)
+PINNED_NUMPY = "2.4.6"
+
+
+def parameter_arrays(net) -> list:
+    """The network's Adam-trained arrays (dense weights and bias, batchnorm
+    gamma and beta), in spec order: views into ``net.flat``."""
+    out = []
+    for entry in net.layers:
+        if isinstance(entry, nn.DenseParams):
+            out.extend((entry.weights, entry.bias))
+        elif isinstance(entry, nn.BatchNormParams):
+            out.extend((entry.gamma, entry.beta))
+    return out
 
 
 def gradient_arrays(net) -> list:
-    """The network's gradient views, in ``parameter_arrays()`` order."""
+    """The network's gradient views, in :func:`parameter_arrays` order."""
     return [g for pair in net.grad_layers if pair is not None for g in pair]
 
 
 def network_loss(net, x, targets, loss_kind, dropout_seed=0):
-    """Train-mode forward + loss with a reproducible dropout mask.
+    """Training forward + loss with a reproducible dropout mask.
 
     The fixed seed makes the loss a deterministic function of the parameters,
     which finite differencing requires.
     """
     rng = np.random.default_rng(dropout_seed)
-    out, _ = nn.forward(net, x, mode="train", rng=rng)
+    out, _ = nn.forward(net, x, rng=rng)
     if loss_kind == "bce":
         return nn.loss_bce(out, targets)
     return nn.loss_categorical_ce(out, targets)

@@ -97,7 +97,7 @@ def _copy_into(flat, end, first, second):
 def reference_backward(net, cache, delta, start, bn_eps=1e-5):
     """The backward walk with every array newly allocated.
 
-    Walks from layer ``start`` down to the input of a train-mode forward's
+    Walks from layer ``start`` down to the input of a training forward's
     cache, copies each layer's gradients into a new flat vector laid out as
     ``net.flat``, and computes layer 0's input gradient too.  Each
     operation is written out in the library's order.  Returns (flat
@@ -176,7 +176,7 @@ def reference_train_network(spec, x, targets, epochs, batch_size, learning_rate,
         order = rng.permutation(len(targets))
         for start in range(0, len(targets), batch_size):
             idx = order[start : start + batch_size]
-            _, cache = nn.forward(net, x[idx], mode="train")
+            _, cache = nn.forward(net, x[idx])
             nn.backward(cache, targets[idx])
             nn.adam_step(net)
     return net

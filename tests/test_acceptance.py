@@ -10,10 +10,12 @@ pinned tolerance so the run log doubles as an acceptance report:
 5. GAN training on a minority cluster shows the discriminator learning
 6. desk-scale end-to-end run: GAN-balanced MLP F1 holds up against raw
 7. optional real credit-card dataset reproduction (skips when absent)
-8. same-seed desk-scale runs produce byte-identical metrics.csv
+8. same-seed desk-scale runs write the same files, byte for byte, with pinned
+   digests
 """
 
 import csv
+import hashlib
 import math
 import os
 import time
@@ -26,7 +28,8 @@ from ganbalance import augment, classifiers, gan, metrics, nn
 from ganbalance.classifiers import TrainConfig, train_tree
 from ganbalance.cli import main
 from ganbalance.data import Dataset
-from helpers import fresh_generator, gradient_arrays, network_loss, random_network_case
+from helpers import (PINNED_NUMPY, fresh_generator, gradient_arrays, network_loss,
+                     parameter_arrays, random_network_case)
 from oracles import (
     brute_force_best_split,
     finite_difference_gradients,
@@ -71,13 +74,13 @@ def test_c1_gradients_match_finite_differences(capsys):
         kinds_seen.update(layer.kind for layer in net.spec)
         losses_seen.add(loss_kind)
 
-        _, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(case))
+        _, cache = nn.forward(net, x, rng=np.random.default_rng(case))
         nn.backward(cache, targets)
 
         def loss():
             return network_loss(net, x, targets, loss_kind, case)
 
-        fd = finite_difference_gradients(loss, net.parameter_arrays(), h=1e-5)
+        fd = finite_difference_gradients(loss, parameter_arrays(net), h=1e-5)
         worst = max(worst, max_relative_error(gradient_arrays(net), fd))
     elapsed = time.perf_counter() - started
 
@@ -270,20 +273,47 @@ def test_c6_gan_mlp_f1_holds_up_at_desk_scale(desk_run, capsys):
     )
 
 
+# sha256 of every file a DESK_ARGS run writes, under numpy PINNED_NUMPY
+DESK_DIGESTS = {
+    "gan_training_log.csv": "52cf852ce9134fe1d1d8e8841a69c4006d94d25a9b97a858bde3edb93989b135",
+    "metrics.csv": "f4d6def1a4c3e4bca3912c2e54b0d265712d2d9b175f0db09eab83868505f262",
+    "roc_gan_dt.csv": "3fa9a11cb1760061b7498031d4e285f66cddc03c9e686b4ff497d2cfd443a215",
+    "roc_gan_logreg.csv": "87580452cff5a42d357d8b7dae58124f43ffe4558d5268affe22daf41efb26db",
+    "roc_gan_mlp.csv": "4a9ab14ffac237f869360edffa0ce9fa72731ae5a3aba9b0d706bc4355d31af6",
+    "roc_gan_svm.csv": "c279c2ef0ccd6612e3fc992ec8367df3ea1d6bf5a6aa44821d131ba547d7e931",
+    "roc_oversample_dt.csv": "bf4f8aa088a8edf93dc07cb916ccf6ff05be0ea1b7f43879197110bdb6b8984f",
+    "roc_oversample_logreg.csv": "a33f14e224d0dc4e59f9ce71648f9a8844f2bdad050dec12f8a79c9ecbd2d322",
+    "roc_oversample_mlp.csv": "c5419bd419fb9f959d984b6fefc06dd9f0bf278d4cea478d5d8bc0fcdb40e178",
+    "roc_oversample_svm.csv": "1ed73e2d37d695ab07d6557368579b4956fa816cb97738e86dfc6cec4278f9e4",
+    "roc_raw_dt.csv": "b6e23e50c89d9f8c9fcba06f18abc3bb63ecb62830ecd6d455e708697f523edd",
+    "roc_raw_logreg.csv": "5aa4b24e379216154d1ae06bdc07f0eddaac502d59366547a738c1da9cf7ea29",
+    "roc_raw_mlp.csv": "376cd76a2e72218218bfb6d5654d5cf1249b564d6517048c86346185989c6926",
+    "roc_raw_svm.csv": "78eefce66de5795fb7df774a4ec757d3ec8898033d0fd2889a555fa1f153d13a",
+}
+
+
+def _desk_files(out_dir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
 @pytest.mark.slow
 def test_c8_same_seed_runs_are_byte_identical(desk_run, desk_csv,
                                               tmp_path_factory, capsys):
     out_b = tmp_path_factory.mktemp("desk_out_b")
     code = main(["run", "--data", str(desk_csv), "--out", str(out_b), *DESK_ARGS])
-    bytes_a = (desk_run["out"] / "metrics.csv").read_bytes()
-    bytes_b = (out_b / "metrics.csv").read_bytes()
+    files_a, files_b = _desk_files(desk_run["out"]), _desk_files(out_b)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files_a.items()}
+    pinned = np.__version__ == PINNED_NUMPY
 
-    ok = code == 0 and bytes_a == bytes_b
+    ok = (code == 0 and files_a == files_b and files_a.keys() == DESK_DIGESTS.keys()
+          and (not pinned or digests == DESK_DIGESTS))
     _report(
         capsys, 8,
         ok,
-        f"two desk-scale runs with the same master seed wrote byte-identical "
-        f"metrics.csv ({len(bytes_a)} bytes)",
+        f"two desk-scale runs with the same master seed wrote the same "
+        f"{len(files_a)} files byte for byte (metrics.csv, 12 ROC files, GAN log); "
+        + ("every digest matches its pinned value" if pinned
+           else f"digests not compared: pinned for numpy {PINNED_NUMPY}, found {np.__version__}"),
     )
 
 

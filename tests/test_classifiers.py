@@ -9,7 +9,7 @@ from ganbalance import classifiers as cl
 from ganbalance import nn
 from ganbalance.data import Dataset
 from ganbalance.errors import DegenerateDataError, ShapeError
-from helpers import gaussian_blobs
+from helpers import gaussian_blobs, parameter_arrays
 from oracles import (
     brute_force_best_split,
     per_node_argsort_tree,
@@ -226,7 +226,7 @@ def test_mlp_deterministic():
     config = cl.TrainConfig(epochs=20, seed=20)
     a = cl.train_mlp(ds, config)
     b = cl.train_mlp(ds, config)
-    for pa, pb in zip(a.parameter_arrays(), b.parameter_arrays()):
+    for pa, pb in zip(parameter_arrays(a), parameter_arrays(b)):
         assert np.array_equal(pa, pb)
 
 
@@ -241,7 +241,7 @@ def test_mlp_label_agrees_with_argmax():
     model = cl.train_mlp(ds, cl.TrainConfig(epochs=30, seed=22))
     from ganbalance import nn
 
-    probs, _ = nn.forward(model, ds.features, mode="infer")
+    probs = nn.predict(model, ds.features)
     argmax = probs.argmax(axis=1)
     labels = cl.predict_score(model, ds.features) > 0.5
     assert np.array_equal(labels, argmax)

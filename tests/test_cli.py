@@ -95,6 +95,27 @@ def test_label_only_file_exits_two_naming_the_missing_features(tmp_path, capsys)
     assert list(out.iterdir()) == []
 
 
+def test_label_named_twice_exits_two_naming_its_columns(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    path.write_text("Class,V1,Class\n" + "1,0.5,1\n0,0.25,0\n" * 200)
+    out = tmp_path / "out"
+    code = main(["run", "--data", str(path), "--out", str(out), *SPLIT_FLAGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "names columns 1, 3" in captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_dump_augmented_without_an_augmented_mode_exits_two(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--data", str(corpus), "--out", str(out), "--modes", "raw",
+                 "--models", "dt", "--dump-augmented", *SPLIT_FLAGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "(--dump-augmented)" in captured.err and "(--modes) are raw" in captured.err
+    assert not out.exists()
+
+
 def test_unknown_mode_exits_two(corpus, tmp_path, capsys):
     # an unknown mode, then the --save-models flag, which no longer exists
     for extra in (["--modes", "bogus"], ["--modes", "raw", "--models", "dt", "--save-models"]):

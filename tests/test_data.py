@@ -62,6 +62,13 @@ def test_load_csv_missing_label_column(tmp_path):
         data.load_csv(path)
 
 
+def test_load_csv_refuses_a_label_named_twice(tmp_path):
+    # otherwise the second Class column would be a feature: the label itself
+    path = _write(tmp_path, "Class,V1,Class\n1,0.5,1\n0,0.2,0\n")
+    with pytest.raises(SchemaError, match="'Class' names columns 1, 3"):
+        data.load_csv(path)
+
+
 @pytest.mark.parametrize("text", ["Class\n1\n0\n", "Class\n"])
 def test_load_csv_rejects_a_table_without_feature_columns(tmp_path, text):
     with pytest.raises(SchemaError, match="no feature column besides 'Class'"):

@@ -74,6 +74,12 @@ def test_config_rejects_unknown_modes_and_models(corpus, tmp_path):
         ExperimentConfig(str(corpus), str(tmp_path), gan=GanTrainConfig(seed=3))
 
 
+def test_config_refuses_a_dump_with_no_augmented_mode(corpus, tmp_path):
+    with pytest.raises(ValueError, match=r"dump_augmented \(--dump-augmented\).*raw"):
+        ExperimentConfig(str(corpus), str(tmp_path), modes=("raw",), dump_augmented=True)
+    ExperimentConfig(str(corpus), str(tmp_path), modes=("raw", "gan"), dump_augmented=True)
+
+
 def test_full_run_scores_every_pair(full_run):
     _, _, results = full_run
     assert len(results) == 6

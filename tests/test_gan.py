@@ -8,7 +8,7 @@ import pytest
 from ganbalance import gan, nn
 from ganbalance.data import Dataset
 from ganbalance.errors import GanStalledError, PreconditionError
-from helpers import fresh_generator
+from helpers import fresh_generator, parameter_arrays
 
 
 def _minority(n=40, dim=5, seed=0):
@@ -112,7 +112,7 @@ def test_training_deterministic_under_seed():
     config = gan.GanTrainConfig(epochs=30, seed=7)
     gen_a, log_a = gan.train_gan(_minority(n=25, dim=4), config)
     gen_b, log_b = gan.train_gan(_minority(n=25, dim=4), config)
-    for a, b in zip(gen_a.parameter_arrays(), gen_b.parameter_arrays()):
+    for a, b in zip(parameter_arrays(gen_a), parameter_arrays(gen_b)):
         assert np.array_equal(a, b)
     assert log_a == log_b
 
@@ -155,7 +155,7 @@ def test_generate_samples_with_the_trained_noise():
     generator, _ = gan.train_gan(_minority(n=12, dim=3), config)
     samples = np.vstack(list(gan.sample_blocks(generator, 6, np.random.default_rng(19))))
     noise = np.random.default_rng(19).standard_normal((6, gan.NOISE_DIM))
-    expected, _ = nn.forward(generator, noise, mode="infer")
+    expected = nn.predict(generator, noise)
     assert np.array_equal(samples, expected)
 
 
@@ -165,7 +165,7 @@ def test_blocked_generate_matches_one_shot_sampling_bit_for_bit(n, feature_dim):
     generator = fresh_generator(feature_dim, seed=20)
     rng, rng2 = np.random.default_rng(21), np.random.default_rng(21)
     samples = np.vstack(list(gan.sample_blocks(generator, n, rng)))
-    one_shot, _ = nn.forward(generator, gan.sample_noise(n, rng2), "infer")
+    one_shot = nn.predict(generator, gan.sample_noise(n, rng2))
     expected = np.clip(one_shot, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     assert samples.tobytes() == expected.tobytes()
     # the caller's rng continues the same noise stream as after one draw

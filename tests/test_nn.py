@@ -7,7 +7,7 @@ import pytest
 
 from ganbalance import classifiers, gan, kernels, nn
 from ganbalance.errors import ConsistencyError, PreconditionError, ShapeError
-from helpers import gradient_arrays, network_loss, random_network_case
+from helpers import gradient_arrays, network_loss, parameter_arrays, random_network_case
 from oracles import (
     finite_difference_gradients,
     max_relative_error,
@@ -44,14 +44,14 @@ def test_forward_identity_dense():
     net = _network_for([nn.dense(3, 3)])
     net.layers[0].weights[...] = np.eye(3)
     net.layers[0].bias[...] = 0.0
-    out, _ = nn.forward(net, [[1.0, 2.0, 3.0]], mode="infer")
+    out = nn.predict(net, [[1.0, 2.0, 3.0]])
     assert np.array_equal(out, [[1.0, 2.0, 3.0]])
 
 
 def test_forward_zero_input_isolates_bias():
     net = _network_for([nn.dense(4, 2)], seed=3)
     net.layers[0].bias[...] = [0.5, -1.5]
-    out, _ = nn.forward(net, np.zeros((1, 4)), mode="infer")
+    out = nn.predict(net, np.zeros((1, 4)))
     assert np.array_equal(out[0], [0.5, -1.5])
 
 
@@ -59,7 +59,7 @@ def test_forward_hand_product():
     net = _network_for([nn.dense(2, 1)])
     net.layers[0].weights[...] = [[2.0], [3.0]]
     net.layers[0].bias[...] = 1.0
-    out, _ = nn.forward(net, [[1.0, 1.0]], mode="infer")
+    out = nn.predict(net, [[1.0, 1.0]])
     assert out[0, 0] == 6.0
 
 
@@ -74,29 +74,32 @@ def test_forward_shape_errors():
 def test_forward_dropout_needs_rng_in_train_mode():
     net = _network_for([nn.dense(2, 2), nn.dropout(2, 0.5)])
     with pytest.raises(PreconditionError):
-        nn.forward(net, np.zeros((1, 2)), mode="train")
-    # infer mode never needs one
-    nn.forward(net, np.zeros((1, 2)), mode="infer")
+        nn.forward(net, np.zeros((1, 2)))
+    # inference never needs one
+    nn.predict(net, np.zeros((1, 2)))
 
 
 def test_infer_forward_keeps_no_activations_and_spares_the_callers_input():
-    # infer mode rectifies in place, but never in the memory the caller passed,
-    # even through a subclass that forward converts to a plain ndarray view
+    # predict rectifies in place, but never in the memory the caller passed,
+    # even through a subclass that it converts to a plain ndarray view
     class Subclass(np.ndarray):
         pass
 
     for spec in ([nn.relu(2)], [nn.dropout(2, 0.5), nn.relu(2)], [nn.relu(2), nn.relu(2)]):
         for x in (np.array([[-1.0, 2.0], [3.0, -4.0]]),
                   np.array([[-1.0, 2.0], [3.0, -4.0]]).view(Subclass)):
-            out, cache = nn.forward(_network_for(spec), x, mode="infer")
+            out = nn.predict(_network_for(spec), x)
+            assert type(out) is np.ndarray
             assert np.array_equal(x, [[-1.0, 2.0], [3.0, -4.0]])
             assert np.array_equal(out, [[0.0, 2.0], [3.0, 0.0]])
-            assert cache.layer_data == []
     net = _network_for([nn.dense(3, 4), nn.relu(4), nn.dense(4, 4), nn.relu(4)], seed=5)
     x = np.random.default_rng(6).standard_normal((7, 3))
-    infer, _ = nn.forward(net, x, mode="infer")
-    train, cache = nn.forward(net, x, mode="train")
+    x_before = x.copy()
+    infer = nn.predict(net, x)
+    train, cache = nn.forward(net, x)
+    assert type(infer) is np.ndarray
     assert infer.tobytes() == train.tobytes()
+    assert np.array_equal(x, x_before)
     assert [entry[0] for entry in cache.layer_data] == ["dense", "relu", "dense", "relu"]
 
 
@@ -141,7 +144,7 @@ def test_dropout_train_statistics():
     net.layers[0].weights[...] = 1.0
     n = 100_000
     x = np.ones((n, 1))
-    out, _ = nn.forward(net, x, mode="train", rng=np.random.default_rng(5))
+    out, _ = nn.forward(net, x, rng=np.random.default_rng(5))
     dropped = np.sum(out == 0.0) / n
     sigma = np.sqrt(rate * (1.0 - rate) / n)
     assert abs(dropped - rate) <= 3.0 * sigma
@@ -152,10 +155,10 @@ def test_dropout_train_statistics():
 def test_dropout_infer_is_identity():
     net = _network_for([nn.dense(3, 3), nn.dropout(3, 0.4)], seed=9)
     x = np.random.default_rng(1).normal(size=(5, 3))
-    out, _ = nn.forward(net, x, mode="infer")
+    out = nn.predict(net, x)
     dense_net = _network_for([nn.dense(3, 3)], seed=9)  # the same Glorot draw
     assert np.array_equal(dense_net.flat, net.flat)
-    dense_only, _ = nn.forward(dense_net, x, mode="infer")
+    dense_only = nn.predict(dense_net, x)
     assert np.array_equal(out, dense_only)
 
 
@@ -164,7 +167,7 @@ def test_batchnorm_train_normalizes_batch():
     rng = np.random.default_rng(2)
     # variance ~100 so the epsilon in the denominator is negligible
     x = rng.normal(0.0, 10.0, size=(64, 4))
-    out, _ = nn.forward(net, x, mode="train")
+    out, _ = nn.forward(net, x)
     assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(out.var(axis=0) - 1.0) < 1e-6)
 
@@ -173,7 +176,7 @@ def test_batchnorm_running_stats_and_infer():
     net = _network_for([nn.batchnorm(2)])
     params = net.layers[0]
     x = np.array([[1.0, 10.0], [3.0, 30.0]])
-    nn.forward(net, x, mode="train")
+    nn.forward(net, x)
     batch_mean = x.mean(axis=0)
     batch_var = x.var(axis=0)
     assert np.allclose(params.running_mean, 0.01 * batch_mean)
@@ -182,16 +185,16 @@ def test_batchnorm_running_stats_and_infer():
     frozen_mean = params.running_mean.copy()
     frozen_var = params.running_var.copy()
     y = np.array([[2.0, 20.0]])
-    out, _ = nn.forward(net, y, mode="infer")
+    out = nn.predict(net, y)
     expected = (y - frozen_mean) / np.sqrt(frozen_var + nn.BATCHNORM_EPS)
     assert np.allclose(out, expected)
-    assert np.array_equal(params.running_mean, frozen_mean)  # infer never updates
+    assert np.array_equal(params.running_mean, frozen_mean)  # predict never updates
 
 
 def test_backward_zero_loss_gives_zero_gradients():
     net = _network_for([nn.dense(1, 1), nn.sigmoid(1)])
     net.flat[...] = 0.0
-    out, cache = nn.forward(net, [[1.0]], mode="train")
+    out, cache = nn.forward(net, [[1.0]])
     assert out[0, 0] == 0.5
     nn.backward(cache, [[0.5]])
     for g in gradient_arrays(net):
@@ -202,25 +205,17 @@ def test_backward_fused_hand_value():
     net = _network_for([nn.dense(1, 1), nn.sigmoid(1)])
     net.layers[0].weights[...] = 0.0
     net.layers[0].bias[...] = 0.0
-    _, cache = nn.forward(net, [[1.0]], mode="train")
+    _, cache = nn.forward(net, [[1.0]])
     nn.backward(cache, [[1.0]])
     d_weights, d_bias = net.grad_layers[0]
     assert d_weights[0, 0] == -0.5
     assert d_bias[0] == -0.5
 
 
-@pytest.mark.parametrize("entry", ["backward", "backward_from", "input_gradient"])
-def test_backward_requires_train_cache(entry):
-    net = _network_for([nn.dense(2, 1), nn.sigmoid(1)])
-    _, cache = nn.forward(net, np.zeros((1, 2)), mode="infer")
-    with pytest.raises(ConsistencyError):
-        getattr(nn, entry)(cache, [[1.0]])
-
-
 def test_backward_loss_activation_mismatch():
     # the loss follows from the last layer; a relu ending has none
     net = _network_for([nn.dense(2, 2), nn.relu(2)])
-    _, cache = nn.forward(net, np.zeros((1, 2)), mode="train")
+    _, cache = nn.forward(net, np.zeros((1, 2)))
     with pytest.raises(ConsistencyError):
         nn.backward(cache, [[1.0, 0.0]])
     nn.backward_from(cache, [[1.0, 0.0]])  # an upstream gradient needs no loss
@@ -241,13 +236,13 @@ def test_gradients_match_finite_differences():
         net, x, targets = random_network_case(rng, loss_kind)
         dropout_seed = trial
 
-        out, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(dropout_seed))
+        out, cache = nn.forward(net, x, rng=np.random.default_rng(dropout_seed))
         nn.backward(cache, targets)
 
         def loss():
             return network_loss(net, x, targets, loss_kind, dropout_seed)
 
-        fd = finite_difference_gradients(loss, net.parameter_arrays())
+        fd = finite_difference_gradients(loss, parameter_arrays(net))
         err = max_relative_error(gradient_arrays(net), fd)
         assert err < 1e-4, f"trial {trial} ({loss_kind}): rel err {err}"
 
@@ -267,14 +262,14 @@ def test_backward_from_matches_finite_differences():
     x = rng.normal(size=(5, 3))
     r = rng.normal(size=(5, 2))
 
-    _, cache = nn.forward(net, x, mode="train")
+    _, cache = nn.forward(net, x)
     nn.backward_from(cache, r)
 
     def loss():
-        out, _ = nn.forward(net, x, mode="train")
+        out, _ = nn.forward(net, x)
         return float(np.sum(out * r))
 
-    fd = finite_difference_gradients(loss, net.parameter_arrays())
+    fd = finite_difference_gradients(loss, parameter_arrays(net))
     assert max_relative_error(gradient_arrays(net), fd) < 1e-4
 
 
@@ -286,14 +281,14 @@ def test_backward_from_through_a_final_softmax_matches_finite_differences():
     x = rng.normal(size=(5, 3))
     r = rng.normal(size=(5, 3))
 
-    _, cache = nn.forward(net, x, mode="train")
+    _, cache = nn.forward(net, x)
     nn.backward_from(cache, r)
 
     def loss():
-        out, _ = nn.forward(net, x, mode="train")
+        out, _ = nn.forward(net, x)
         return float(np.sum(out * r))
 
-    fd = finite_difference_gradients(loss, net.parameter_arrays())
+    fd = finite_difference_gradients(loss, parameter_arrays(net))
     assert max_relative_error(gradient_arrays(net), fd) < 1e-4
 
 
@@ -304,11 +299,11 @@ def test_hidden_softmax_gradients_match_finite_differences():
     x = rng.normal(size=(5, 3))
     targets = rng.integers(0, 2, size=(5, 2)).astype(np.float64)
 
-    _, cache = nn.forward(net, x, mode="train")
+    _, cache = nn.forward(net, x)
     nn.backward(cache, targets)
 
     fd = finite_difference_gradients(lambda: network_loss(net, x, targets, "bce"),
-                                     net.parameter_arrays())
+                                     parameter_arrays(net))
     assert max_relative_error(gradient_arrays(net), fd) < 1e-4
 
 
@@ -320,7 +315,7 @@ def test_input_gradient_matches_finite_differences():
     net = nn.init_network(spec, rng, learning_rate=0.01)
     x = rng.normal(size=(4, 2))
     targets = rng.integers(0, 2, size=(4, 2)).astype(np.float64)
-    _, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(5))
+    _, cache = nn.forward(net, x, rng=np.random.default_rng(5))
     analytic = nn.input_gradient(cache, targets)
 
     [fd] = finite_difference_gradients(
@@ -334,7 +329,7 @@ def test_input_gradient_leaves_the_gradient_buffer_untouched():
     net = _network_for(spec, seed=12)
     rng = np.random.default_rng(13)
     x, targets = _train_batch(spec, rng)
-    _, cache = nn.forward(net, x, mode="train", rng=rng)
+    _, cache = nn.forward(net, x, rng=rng)
     nn.backward(cache, targets)
     before = net.grads.copy()
     nn.input_gradient(cache, 1.0 - targets)
@@ -349,7 +344,7 @@ def test_backward_overwrites_the_network_s_own_buffer():
     values = []
     for _ in range(2):
         x, targets = _train_batch(spec, rng)
-        _, cache = nn.forward(net, x, mode="train")
+        _, cache = nn.forward(net, x)
         assert nn.backward(cache, targets) is None
         values.append(net.grads.copy())
     assert net.grads is buffer
@@ -416,19 +411,19 @@ def _train_batch(spec, rng, rows=16):
 def test_fused_adam_matches_per_array_loop_bit_for_bit(name):
     spec = ADAM_SPECS[name]
     net = _network_for(spec, seed=21, learning_rate=0.01)
-    reference = [a.copy() for a in net.parameter_arrays()]
+    reference = [a.copy() for a in parameter_arrays(net)]
     ref_m = [np.zeros_like(a) for a in reference]
     ref_v = [np.zeros_like(a) for a in reference]
     rng = np.random.default_rng(22)
     for step in range(1, 51):
         x, targets = _train_batch(spec, rng)
-        _, cache = nn.forward(net, x, mode="train", rng=rng)
+        _, cache = nn.forward(net, x, rng=rng)
         nn.backward(cache, targets)
         per_array_adam_step(
             reference, [g.copy() for g in gradient_arrays(net)], ref_m, ref_v, step, 0.01
         )
         nn.adam_step(net)
-        for got, want in zip(net.parameter_arrays(), reference):
+        for got, want in zip(parameter_arrays(net), reference):
             assert np.array_equal(got, want), f"{name}: parameters differ at step {step}"
         assert np.array_equal(net.first_moment, np.concatenate([m.ravel() for m in ref_m]))
         assert np.array_equal(net.second_moment, np.concatenate([v.ravel() for v in ref_v]))
@@ -461,10 +456,10 @@ def test_lean_step_matches_allocating_reference_bit_for_bit(name):
     rng = np.random.default_rng(32)
     for step in range(1, LEAN_STEPS + 1):
         x, targets = _train_batch(spec, rng, rows=64)
-        _, cache = nn.forward(net, x, mode="train")
+        _, cache = nn.forward(net, x)
         nn.backward(cache, targets)
         nn.adam_step(net)
-        _, cache = nn.forward(ref, x, mode="train")
+        _, cache = nn.forward(ref, x)
         _reference_update(ref, step, cache, _loss_delta(ref, cache, targets), len(spec) - 2)
     _assert_same_state(net, ref, name)
 
@@ -474,8 +469,8 @@ def _gan_epoch(gen, disc, real, noise, seeds, epoch=None):
     ``epoch`` number the updates run through the allocating reference."""
     real_labels = np.ones((real.shape[0], 1))
     disc_targets = np.vstack([real_labels, np.zeros_like(real_labels)])
-    fake, _ = nn.forward(gen, noise[0], mode="train")
-    _, cache = nn.forward(disc, np.vstack([real, fake]), mode="train",
+    fake, _ = nn.forward(gen, noise[0])
+    _, cache = nn.forward(disc, np.vstack([real, fake]),
                           rng=np.random.default_rng(seeds[0]))
     if epoch is None:
         nn.backward(cache, disc_targets)
@@ -483,8 +478,8 @@ def _gan_epoch(gen, disc, real, noise, seeds, epoch=None):
     else:
         _reference_update(disc, epoch, cache, _loss_delta(disc, cache, disc_targets),
                           len(disc.spec) - 2)
-    fake, gen_cache = nn.forward(gen, noise[1], mode="train")
-    _, cache = nn.forward(disc, fake, mode="train", rng=np.random.default_rng(seeds[1]))
+    fake, gen_cache = nn.forward(gen, noise[1])
+    _, cache = nn.forward(disc, fake, rng=np.random.default_rng(seeds[1]))
     if epoch is None:
         nn.backward_from(gen_cache, nn.input_gradient(cache, real_labels))
         nn.adam_step(gen)
@@ -522,7 +517,7 @@ def _assert_views_tile(arrays, flat):
 def test_parameters_and_gradients_are_views_into_one_vector(name):
     spec = ADAM_SPECS[name]
     net = _network_for(spec, seed=3)
-    arrays = net.parameter_arrays()
+    arrays = parameter_arrays(net)
     expected = []  # spec order: dense (weights, bias), batchnorm (gamma, beta)
     for layer in spec:
         if layer.kind == "dense":
@@ -533,7 +528,7 @@ def test_parameters_and_gradients_are_views_into_one_vector(name):
     _assert_views_tile(arrays, net.flat)
     rng = np.random.default_rng(4)
     x, targets = _train_batch(spec, rng)
-    _, cache = nn.forward(net, x, mode="train", rng=rng)
+    _, cache = nn.forward(net, x, rng=rng)
     nn.backward(cache, targets)
     assert net.grads.shape == net.flat.shape
     _assert_views_tile(gradient_arrays(net), net.grads)
@@ -543,14 +538,14 @@ def test_forward_after_adam_step_sees_updated_weights():
     spec = classifiers.mlp_spec(10)
     net = _network_for(spec, seed=5, learning_rate=0.1)
     x, targets = _train_batch(spec, np.random.default_rng(6))
-    before, cache = nn.forward(net, x, mode="train")
+    before, cache = nn.forward(net, x)
     nn.backward(cache, targets)
     nn.adam_step(net)
-    after, _ = nn.forward(net, x, mode="train")
+    after, _ = nn.forward(net, x)
     rebuilt = _network_for(spec, seed=99)
     rebuilt.flat[:] = net.flat
     assert not np.array_equal(before, after)
-    assert np.array_equal(after, nn.forward(rebuilt, x, mode="train")[0])
+    assert np.array_equal(after, nn.forward(rebuilt, x)[0])
 
 
 def test_adam_step_is_one_kernel_call(monkeypatch):
@@ -565,7 +560,7 @@ def test_adam_step_is_one_kernel_call(monkeypatch):
     spec = classifiers.mlp_spec(10)
     net = _network_for(spec)
     x, targets = _train_batch(spec, np.random.default_rng(8))
-    _, cache = nn.forward(net, x, mode="train")
+    _, cache = nn.forward(net, x)
     nn.backward(cache, targets)
     nn.adam_step(net)
     assert calls == [net.flat.size]
@@ -579,13 +574,13 @@ def test_training_is_deterministic_under_seed():
         x = np.random.default_rng(1).normal(size=(8, 3))
         t = np.random.default_rng(2).integers(0, 2, size=(8, 1)).astype(np.float64)
         for _ in range(25):
-            _, cache = nn.forward(net, x, mode="train")
+            _, cache = nn.forward(net, x)
             nn.backward(cache, t)
             nn.adam_step(net)
         return net
 
-    first = train_once().parameter_arrays()
-    second = train_once().parameter_arrays()
+    first = parameter_arrays(train_once())
+    second = parameter_arrays(train_once())
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
@@ -594,7 +589,7 @@ def test_all_values_finite_after_forward_backward():
     rng = np.random.default_rng(31)
     for trial in range(5):
         net, x, targets = random_network_case(rng, "bce")
-        out, cache = nn.forward(net, x, mode="train", rng=np.random.default_rng(0))
+        out, cache = nn.forward(net, x, rng=np.random.default_rng(0))
         nn.backward(cache, targets)
         assert np.all(np.isfinite(out))
         for g in gradient_arrays(net):

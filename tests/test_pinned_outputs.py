@@ -1,6 +1,6 @@
 """Every output file of the CLI, byte for byte, against pinned sha256 digests.
 
-The digests were taken with the numpy version named below.  Matmul results
+The digests were taken with numpy ``helpers.PINNED_NUMPY``.  Matmul results
 depend on the numpy/BLAS build, so on any other version the tests skip.  A
 change that means to move an output re-pins the digests its failure prints
 and says why.
@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 
 from ganbalance.cli import main
-from helpers import gaussian_blobs, write_dataset_csv
-
-PINNED_NUMPY = "2.4.6"
+from helpers import PINNED_NUMPY, gaussian_blobs, write_dataset_csv
 
 COMMON_FLAGS = [
     "--seed", "3",
