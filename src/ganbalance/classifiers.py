@@ -156,8 +156,8 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, sorted_rows: np.ndarray, depth: int
 
     sorted_rows[j] lists the node's row indices ordered by column j, ties in
     ascending row index: the order a stable argsort of the node's rows in
-    file order gives.  Children receive stable-filtered copies of the lists,
-    so no column is sorted twice.
+    file order gives.  A split partitions each list in place, stably, left
+    rows first: children grow over views, and no column is sorted twice.
     """
     n = sorted_rows.shape[1]
     n_pos = int(np.sum(y[sorted_rows[0]]))
@@ -185,12 +185,15 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, sorted_rows: np.ndarray, depth: int
     go_left[rows] = x[rows, best_feature] <= best_threshold
     left = go_left[sorted_rows]
     n_left = int(np.sum(go_left))
+    sorted_rows[:, :n_left], sorted_rows[:, n_left:] = (
+        sorted_rows[left].reshape(-1, n_left), sorted_rows[~left].reshape(-1, n - n_left))
+    del go_left, left  # no ancestor keeps a mask alive while its subtree grows
     return TreeNode(
         prob=prob,
         feature=best_feature,
         threshold=best_threshold,
-        left=_grow_tree(x, y, sorted_rows[left].reshape(-1, n_left), depth + 1),
-        right=_grow_tree(x, y, sorted_rows[~left].reshape(-1, n - n_left), depth + 1),
+        left=_grow_tree(x, y, sorted_rows[:, :n_left], depth + 1),
+        right=_grow_tree(x, y, sorted_rows[:, n_left:], depth + 1),
     )
 
 
@@ -201,7 +204,7 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
     a node splits on the candidate with the largest impurity decrease (even a
     zero decrease, so patterns like XOR still separate), stopping at purity
     or TREE_MAX_DEPTH; ``config`` is not read.  Each column is sorted once, at
-    the root.
+    the root, into one (d, n) index buffer that the whole tree grows inside.
     """
     x = np.ascontiguousarray(data.features, dtype=np.float64)
     y = data.labels.astype(np.int64)

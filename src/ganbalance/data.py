@@ -1,5 +1,6 @@
-"""CSV ingestion, deduplication, stratified splitting, feature scaling, and
-the one row writer behind every LF-terminated output CSV.
+"""CSV ingestion, deduplication, stratified splitting, feature scaling, the
+one row writer behind every LF-terminated output CSV, and the opener that
+writes every output file whole or not at all.
 
 The preprocessing order is fixed: load -> dedup -> stratified split -> fit
 standard scaler on train and apply to both sides -> fit min-max scaler on the
@@ -10,10 +11,13 @@ of the sample generator downstream.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -297,6 +301,21 @@ def scale_train_test(
     return to_unit(train_std, train.labels), to_unit(test_std, test.labels)
 
 
+@contextlib.contextmanager
+def open_whole(path):
+    """Open ``<path>.partial`` for text writing and move it onto ``path`` once
+    the block ends; on an exception remove it and re-raise, so ``path`` is
+    written whole or not at all."""
+    partial = Path(f"{path}.partial")
+    try:
+        with open(partial, "w", newline="") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header, parts) -> None:
     """Write the comma-joined ``header`` names, then every ``(rows,
     row_format)`` part in turn: ``row_format % tuple(row)`` for each row of the
@@ -304,7 +323,7 @@ def write_csv(path, header, parts) -> None:
     ``%`` formats a block of at most WRITE_CELLS values (one row, if a row
     holds more), so no array is turned into text whole; ``parts`` may be an
     iterator, and each part is written before the next is drawn."""
-    with open(path, "w", newline="") as fh:
+    with open_whole(path) as fh:
         fh.write(",".join(header) + "\n")
         for rows, row_format in parts:
             step = max(1, WRITE_CELLS // rows.shape[1])

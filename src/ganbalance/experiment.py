@@ -32,6 +32,9 @@ from ganbalance.gan import GanTrainConfig
 
 MODES = ("raw", "oversample", "gan")
 MODELS = ("svm", "dt", "logreg", "mlp")
+# every file name a run or synth writes, as glob patterns
+OUTPUT_FILES = ("metrics.csv", "roc_*_*.csv", "gan_training_log.csv", "train_augmented*.csv",
+                "generated_samples.csv")
 
 _TRAINERS = {
     "svm": classifiers.train_svm,
@@ -92,9 +95,15 @@ def derive_seed(master: int, stage: str) -> int:
 
 
 def _prepare_out_dir(config: ExperimentConfig) -> Path:
-    """Create the output directory and prove it writable before any work."""
+    """Create the output directory and prove it writable before any work.  A
+    directory already holding an output file is refused, and nothing in it is
+    touched: one run's files never sit beside another's."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    found = sorted(path.name for pattern in OUTPUT_FILES for path in out_dir.glob(pattern))
+    if found:
+        raise PreconditionError(f"output directory {out_dir} already holds output files "
+                                f"({', '.join(found)}); choose an empty directory")
     probe = out_dir / ".write_probe"
     try:
         probe.write_text("")
@@ -231,7 +240,7 @@ def emit_outputs(results: list, out_dir) -> None:
         header.append("status")
     # metrics.csv alone keeps csv.writer: its error cells may hold commas and
     # need quoting, and its pinned bytes have CRLF line ends
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
+    with data.open_whole(out_dir / "metrics.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in results:

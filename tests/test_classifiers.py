@@ -115,11 +115,16 @@ def test_network_trainers_match_reference_loop_bit_for_bit(dim, monkeypatch):
     assert np.array_equal(mlp.flat, reference.flat)
 
 
-@pytest.mark.parametrize("trainer", [cl.train_svm, cl.train_logreg, cl.train_mlp],
-                         ids=lambda trainer: trainer.__name__)
-def test_fit_memory_peak_holds_one_epoch_buffer(trainer):
-    # one row buffer per fit, refilled in each epoch's order: about 1.1-1.4x
-    # the feature matrix; a second live copy at an epoch boundary passes 2x
+@pytest.mark.parametrize("trainer, bound", [
+    pytest.param(trainer, bound, id=trainer.__name__)
+    for trainer, bound in ((cl.train_svm, 1.6), (cl.train_logreg, 1.6), (cl.train_mlp, 1.6),
+                           (cl.train_tree, 3.0))])
+def test_fit_memory_peak_holds_one_epoch_buffer(trainer, bound):
+    # network and SVM fits: one row buffer per fit, refilled in each epoch's
+    # order, about 1.1-1.4x the feature matrix; a second live copy at an epoch
+    # boundary passes 2x.  The tree: one (d, n) index buffer partitioned in
+    # place plus a split's transient halves, about 2.3x; an index copy per
+    # node kept alive along the recursion path passes 3x
     ds = gaussian_blobs(np.random.default_rng(31), n_pos=4000, n_neg=16000, dim=30)
     tracemalloc.start()
     try:
@@ -127,7 +132,7 @@ def test_fit_memory_peak_holds_one_epoch_buffer(trainer):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * ds.features.nbytes
+    assert peak < bound * ds.features.nbytes
 
 
 def test_svm_single_class_error():

@@ -118,15 +118,32 @@ def test_dump_augmented_without_an_augmented_mode_exits_two(corpus, tmp_path, ca
 
 def test_unknown_mode_exits_two(corpus, tmp_path, capsys):
     # an unknown mode, then the --save-models flag, which no longer exists
-    for extra in (["--modes", "bogus"], ["--modes", "raw", "--models", "dt", "--save-models"]):
+    for i, extra in enumerate((["--modes", "bogus"],
+                               ["--modes", "raw", "--models", "dt", "--save-models"])):
         try:
-            code = main(["run", "--data", str(corpus), "--out", str(tmp_path), *extra,
+            code = main(["run", "--data", str(corpus), "--out", str(tmp_path / str(i)), *extra,
                          *SPLIT_FLAGS])
         except SystemExit as exc:  # argparse rejects unknown flags this way
             code = exc.code
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
+
+
+def test_second_run_into_a_used_directory_exits_two_and_changes_nothing(corpus, tmp_path,
+                                                                        capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(corpus), "--out", str(out), "--models", "dt",
+                 "--gan-epochs", "2", "--dump-augmented", *SPLIT_FLAGS]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    for argv in (["run", "--modes", "raw", "--models", "dt"], ["synth", "--n", "3"]):
+        assert main([*argv, "--data", str(corpus), "--out", str(out), *SPLIT_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert "already holds output files" in err
+        assert "metrics.csv" in err and "roc_raw_dt.csv" in err
+        assert "train_augmented_gan.csv" in err and "gan_training_log.csv" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_partial_failure_exits_three(corpus, tmp_path, capsys):

@@ -317,10 +317,10 @@ def test_run_synth_writes_samples_and_log(corpus, tmp_path):
 
 
 def test_run_synth_memory_does_not_grow_with_the_row_count(corpus, tmp_path):
-    config = ExperimentConfig(data_path=str(corpus), out_dir=str(tmp_path), seed=13,
-                              split=SPLIT, gan=GAN_FAST)
     peaks = []
     for n in (4096, 100_000):
+        config = ExperimentConfig(data_path=str(corpus), out_dir=str(tmp_path / str(n)),
+                                  seed=13, split=SPLIT, gan=GAN_FAST)
         tracemalloc.start()
         try:
             run_synth(config, n)

@@ -1,8 +1,10 @@
 """The shared CSV row writer against the f-string writers it replaced, byte
 for byte, on the values where printf and format-spec rendering could part and
-on tables that span several write blocks."""
+on tables that span several write blocks; and a write that fails leaves no
+file behind."""
 
 import numpy as np
+import pytest
 
 from ganbalance import augment, data, experiment, gan, metrics
 from ganbalance.data import Dataset
@@ -82,3 +84,13 @@ def test_augmented_csv_matches_fstring_writer(tmp_path):
         assert balanced.labels.dtype == np.int64
         assert _same_bytes(tmp_path, experiment._write_augmented_csv, reference, balanced,
                            len(train.labels), tag)
+
+
+def test_failed_samples_write_leaves_neither_the_file_nor_its_partial(tmp_path):
+    def blocks():
+        yield np.full((3, 2), 0.5)
+        raise RuntimeError("sampling failed")
+
+    with pytest.raises(RuntimeError, match="sampling failed"):
+        gan.write_samples_csv(blocks(), tmp_path / "generated_samples.csv")
+    assert list(tmp_path.iterdir()) == []
