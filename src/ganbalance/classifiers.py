@@ -252,6 +252,5 @@ def predict_score(model, X) -> np.ndarray:
         _tree_scores(model.root, x, np.arange(x.shape[0]), out)
         return out
     if isinstance(model, nn.Network):
-        _check_width(x, model.spec[0].input_dim)
         return nn.predict(model, x)[:, 1]
     raise TypeError(f"unknown model type {type(model).__name__}")

@@ -96,11 +96,13 @@ def derive_seed(master: int, stage: str) -> int:
 
 def _prepare_out_dir(config: ExperimentConfig) -> Path:
     """Create the output directory and prove it writable before any work.  A
-    directory already holding an output file is refused, and nothing in it is
-    touched: one run's files never sit beside another's."""
+    directory already holding an output file, or the ``.partial`` file of one
+    that a killed run left, is refused, and nothing in it is touched: one
+    run's files never sit beside another's."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    found = sorted(path.name for pattern in OUTPUT_FILES for path in out_dir.glob(pattern))
+    found = sorted(path.name for pattern in OUTPUT_FILES for end in ("", ".partial")
+                   for path in out_dir.glob(pattern + end))
     if found:
         raise PreconditionError(f"output directory {out_dir} already holds output files "
                                 f"({', '.join(found)}); choose an empty directory")
@@ -169,7 +171,6 @@ def run(config: ExperimentConfig) -> list:
 
     modes = [m for m in MODES if m in config.modes]
     models = [m for m in MODELS if m in config.models]
-    augmented_modes = [m for m in modes if m != "raw"]
 
     train_sets, gan_log = {}, None  # mode -> its Dataset, or the error that stopped it
     for mode in modes:
@@ -187,10 +188,9 @@ def run(config: ExperimentConfig) -> list:
             train_sets[mode] = exc
             continue
         if config.dump_augmented and mode != "raw":
-            suffix = "" if len(augmented_modes) == 1 else f"_{mode}"
             tag = "duplicated" if mode == "oversample" else "generated"
             _write_augmented_csv(train_sets[mode], len(train_scaled.labels), tag,
-                                 out_dir / f"train_augmented{suffix}.csv")
+                                 out_dir / f"train_augmented_{mode}.csv")
 
     results = []
     for mode in modes:

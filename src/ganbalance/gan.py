@@ -115,7 +115,7 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, l
             real = x[rng.choice(n, size=batch, replace=False)]
             fake, _ = nn.forward(gen, sample_noise(batch, rng))
             disc_out, disc_cache = nn.forward(disc, np.vstack([real, fake]), rng=rng)
-            disc_loss = nn.loss_bce(disc_out, disc_targets)
+            disc_loss = nn.loss(disc, disc_out, disc_targets)
             disc_acc = float(np.mean((disc_out > 0.5).astype(np.int64) == disc_targets))
             nn.backward(disc_cache, disc_targets)
             nn.adam_step(disc)
@@ -123,7 +123,7 @@ def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, l
             # generator step: push fakes toward the discriminator's "real" label
             fake, gen_cache = nn.forward(gen, sample_noise(batch, rng))
             disc_out, disc_cache = nn.forward(disc, fake, rng=rng)
-            gen_loss = nn.loss_bce(disc_out, real_labels)
+            gen_loss = nn.loss(disc, disc_out, real_labels)
             nn.backward_from(gen_cache, nn.input_gradient(disc_cache, real_labels))
             stalled = 0 if gen.grads.any() else stalled + 1
             nn.adam_step(gen)

@@ -75,18 +75,6 @@ def dropout(dim: int, rate: float) -> LayerSpec:
     return LayerSpec("dropout", dim, dim, rate=rate)
 
 
-def validate_spec(spec) -> None:
-    """Check the stack is non-empty and adjacent dimensions agree."""
-    if not spec:
-        raise ValueError("network spec is empty")
-    for prev, cur in zip(spec, spec[1:]):
-        if prev.output_dim != cur.input_dim:
-            raise ShapeError(
-                f"layer dims do not chain: {prev.kind}({prev.output_dim}) -> "
-                f"{cur.kind}({cur.input_dim})"
-            )
-
-
 @dataclass(frozen=True)
 class DenseParams:
     weights: np.ndarray  # (input_dim, output_dim)
@@ -143,9 +131,15 @@ def _views(flat, end, shape, size) -> tuple[np.ndarray, np.ndarray]:
 
 def init_network(spec, rng: np.random.Generator, learning_rate: float) -> Network:
     """Glorot-uniform dense weights, zero biases, identity batchnorm and zero
-    Adam moments; ``learning_rate`` is the step size of :func:`adam_step`."""
+    Adam moments; ``learning_rate`` is the step size of :func:`adam_step`.
+    The spec must be non-empty and each layer's width its successor's input."""
     spec = tuple(spec)
-    validate_spec(spec)
+    if not spec:
+        raise ValueError("network spec is empty")
+    for prev, cur in zip(spec, spec[1:]):
+        if prev.output_dim != cur.input_dim:
+            raise ShapeError(f"layer dims do not chain: {prev.kind}({prev.output_dim}) -> "
+                             f"{cur.kind}({cur.input_dim})")
     flat = np.empty(sum(_trained_size(layer) for layer in spec))
     grads = np.zeros_like(flat)
     layers, grad_layers, end = [], [], 0
@@ -246,25 +240,30 @@ def predict(net: Network, x) -> np.ndarray:
     return h
 
 
-def loss_bce(predicted, target) -> float:
-    """Mean binary cross-entropy with predictions clipped away from 0/1."""
+def _loss_terms(net: Network, predicted, targets):
+    """The last layer's kind, which picks the loss (binary cross-entropy after
+    a sigmoid, categorical cross-entropy after a softmax), and the predictions
+    and targets as float64: 2-D rows of one shape."""
     p = np.asarray(predicted, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeError(f"prediction shape {p.shape} != target shape {t.shape}")
-    p = np.clip(p, LOG_CLIP_EPS, 1.0 - LOG_CLIP_EPS)
-    return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log1p(-p))))
+    t = np.asarray(targets, dtype=np.float64)
+    if p.ndim != 2 or p.shape != t.shape:
+        raise ShapeError(f"predictions must be 2-D rows shaped as the targets: "
+                         f"{p.shape} != {t.shape}")
+    last = net.spec[-1].kind
+    if last not in ("sigmoid", "softmax"):
+        raise ConsistencyError(f"a loss needs a final sigmoid or softmax layer, not {last!r}")
+    return last, p, t
 
 
-def loss_categorical_ce(predicted, target) -> float:
-    """Mean over rows of the cross-entropy against one-hot targets."""
-    p = np.asarray(predicted, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeError(f"prediction shape {p.shape} != target shape {t.shape}")
-    if p.ndim != 2:
-        raise ShapeError("categorical cross-entropy expects 2-D row distributions")
+def loss(net: Network, predicted, targets) -> float:
+    """Mean loss of ``net``'s output rows ``predicted`` against ``targets``,
+    the loss that :func:`backward` differentiates; predictions are clipped
+    away from 0 and 1.  Binary cross-entropy averages over every entry,
+    categorical cross-entropy (one-hot targets) over rows."""
+    last, p, t = _loss_terms(net, predicted, targets)
     p = np.clip(p, LOG_CLIP_EPS, 1.0 - LOG_CLIP_EPS)
+    if last == "sigmoid":
+        return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log1p(-p))))
     return float(np.mean(-np.sum(t * np.log(p), axis=1)))
 
 
@@ -305,28 +304,18 @@ def _walk_backward(cache: ForwardCache, delta, start, fill: bool):
 
 
 def _loss_delta(cache: ForwardCache, targets) -> np.ndarray:
-    """d(mean loss)/d(input of the last layer), as :func:`backward` defines the loss."""
-    t = np.asarray(targets, dtype=np.float64)
-    p = cache.output
-    if p.shape != t.shape:
-        raise ShapeError(f"prediction shape {p.shape} != target shape {t.shape}")
-    last = cache.network.spec[-1].kind
-    if last == "sigmoid":
-        return (p - t) / p.size
-    if last == "softmax":
-        return (p - t) / p.shape[0]
-    raise ConsistencyError(f"backward needs a final sigmoid or softmax layer, not {last!r}")
+    """d(mean loss)/d(input of the last layer), the loss as :func:`loss` defines it."""
+    last, p, t = _loss_terms(cache.network, cache.output, targets)
+    return (p - t) / (p.size if last == "sigmoid" else p.shape[0])
 
 
 def backward(cache: ForwardCache, targets) -> None:
-    """Gradients of the mean loss for every parameter of the network that
-    made ``cache``, written into its ``grads``.
+    """Gradients of the mean :func:`loss` for every parameter of the network
+    that made ``cache``, written into its ``grads``.
 
-    The loss follows from the last layer: binary cross-entropy after a
-    sigmoid, categorical cross-entropy after a softmax.  Either pair is folded
-    into the numerically stable (prediction - target) form.  ``grads`` holds
-    the result until the next :func:`backward` or :func:`backward_from` on
-    that network.
+    The loss and the last layer's activation are folded into the numerically
+    stable (prediction - target) form.  ``grads`` holds the result until the
+    next :func:`backward` or :func:`backward_from` on that network.
     """
     _walk_backward(cache, _loss_delta(cache, targets), len(cache.network.spec) - 2, True)
 

@@ -30,17 +30,15 @@ def gradient_arrays(net) -> list:
     return [g for pair in net.grad_layers if pair is not None for g in pair]
 
 
-def network_loss(net, x, targets, loss_kind, dropout_seed=0):
-    """Training forward + loss with a reproducible dropout mask.
+def network_loss(net, x, targets, dropout_seed=0):
+    """Training forward + :func:`nn.loss` with a reproducible dropout mask.
 
     The fixed seed makes the loss a deterministic function of the parameters,
     which finite differencing requires.
     """
     rng = np.random.default_rng(dropout_seed)
     out, _ = nn.forward(net, x, rng=rng)
-    if loss_kind == "bce":
-        return nn.loss_bce(out, targets)
-    return nn.loss_categorical_ce(out, targets)
+    return nn.loss(net, out, targets)
 
 
 def random_network_case(rng: np.random.Generator, loss_kind: str, hidden_kinds=None):

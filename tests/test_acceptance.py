@@ -78,7 +78,7 @@ def test_c1_gradients_match_finite_differences(capsys):
         nn.backward(cache, targets)
 
         def loss():
-            return network_loss(net, x, targets, loss_kind, case)
+            return network_loss(net, x, targets, case)
 
         fd = finite_difference_gradients(loss, parameter_arrays(net), h=1e-5)
         worst = max(worst, max_relative_error(gradient_arrays(net), fd))

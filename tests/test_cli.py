@@ -146,6 +146,15 @@ def test_second_run_into_a_used_directory_exits_two_and_changes_nothing(corpus, 
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_a_partial_file_left_by_a_killed_run_makes_the_directory_used(corpus, tmp_path,
+                                                                       capsys):
+    (tmp_path / "metrics.csv.partial").write_text("mode,model\n")
+    for argv in (["run", "--modes", "raw", "--models", "dt"], ["synth", "--n", "3"]):
+        assert main([*argv, "--data", str(corpus), "--out", str(tmp_path), *SPLIT_FLAGS]) == 2
+        assert "metrics.csv.partial" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv.partial"]
+
+
 def test_partial_failure_exits_three(corpus, tmp_path, capsys):
     # a single training positive starves GAN training while raw still works
     code = main(
@@ -277,8 +286,8 @@ def test_seed_flag_changes_outputs(corpus, tmp_path, capsys):
              *SPLIT_FLAGS]
         ) == 0
     capsys.readouterr()
-    dump_a = (out_a / "train_augmented.csv").read_bytes()
-    dump_b = (out_b / "train_augmented.csv").read_bytes()
+    dump_a = (out_a / "train_augmented_oversample.csv").read_bytes()
+    dump_b = (out_b / "train_augmented_oversample.csv").read_bytes()
     assert dump_a != dump_b
 
 

@@ -126,7 +126,8 @@ def test_full_run_writes_roc_and_gan_log(full_run):
 
 def test_full_run_dumps_suffixed_augmented_sets(full_run):
     _, out, _ = full_run
-    assert not (out / "train_augmented.csv").exists()
+    dumps = sorted(p.name for p in out.glob("train_augmented*.csv"))
+    assert dumps == ["train_augmented_gan.csv", "train_augmented_oversample.csv"]
     for mode in ("oversample", "gan"):
         lines = (out / f"train_augmented_{mode}.csv").read_text().splitlines()
         assert lines[0] == "f0,f1,f2,f3,label,provenance"
@@ -138,7 +139,16 @@ def test_full_run_dumps_suffixed_augmented_sets(full_run):
         assert tags == {"original", extra}
 
 
-def test_single_mode_run_uses_plain_augmented_name(corpus, tmp_path):
+def test_output_file_patterns_match_every_file_run_and_synth_write(full_run, tmp_path):
+    # a file that no pattern matches would escape the used-directory refusal
+    config, out, _ = full_run
+    run_synth(dataclasses.replace(config, out_dir=str(tmp_path)), 8)
+    for directory in (out, tmp_path):
+        matched = {p.name for pattern in experiment.OUTPUT_FILES for p in directory.glob(pattern)}
+        assert matched == {p.name for p in directory.iterdir()}
+
+
+def test_single_mode_run_names_its_dump_after_the_mode(corpus, tmp_path):
     config = ExperimentConfig(
         data_path=str(corpus),
         out_dir=str(tmp_path),
@@ -150,7 +160,8 @@ def test_single_mode_run_uses_plain_augmented_name(corpus, tmp_path):
     )
     results = run(config)
     assert len(results) == 1
-    assert (tmp_path / "train_augmented.csv").exists()
+    assert sorted(p.name for p in tmp_path.glob("train_augmented*.csv")) == [
+        "train_augmented_oversample.csv"]
     assert not (tmp_path / "gan_training_log.csv").exists()
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0] == EXPECTED_HEADER
@@ -347,7 +358,7 @@ def test_gan_mode_samples_with_the_configured_noise(corpus, tmp_path):
         dump_augmented=True,
     )
     run(config)
-    dumped = (tmp_path / "run" / "train_augmented.csv").read_text().splitlines()[1:]
+    dumped = (tmp_path / "run" / "train_augmented_gan.csv").read_text().splitlines()[1:]
     generated = [line.rsplit(",", 2)[0] for line in dumped if line.endswith(",generated")]
     deficit = SPLIT.train_size - 2 * SPLIT.train_positives
     assert len(generated) == deficit

@@ -19,7 +19,7 @@ def _minority(n=40, dim=5, seed=0):
 
 def test_generator_spec_structure():
     spec = gan.generator_spec(30)
-    nn.validate_spec(spec)
+    nn.init_network(spec, np.random.default_rng(0), 1e-5)  # dims chain
     assert spec[0].input_dim == 100
     assert spec[-1].kind == "sigmoid"
     assert spec[-1].output_dim == 30
@@ -29,7 +29,7 @@ def test_generator_spec_structure():
 
 def test_discriminator_spec_structure():
     spec = gan.discriminator_spec(30)
-    nn.validate_spec(spec)
+    nn.init_network(spec, np.random.default_rng(0), 1e-5)  # dims chain
     kinds = [layer.kind for layer in spec]
     assert kinds == [
         "dense", "sigmoid", "dropout",

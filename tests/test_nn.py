@@ -37,7 +37,9 @@ def test_layerspec_validation():
     with pytest.raises(ValueError):
         nn.dropout(3, 1.0)
     with pytest.raises(ShapeError):
-        nn.validate_spec([nn.dense(2, 3), nn.relu(4)])
+        _network_for([nn.dense(2, 3), nn.relu(4)])
+    with pytest.raises(ValueError, match="empty"):
+        _network_for([])
 
 
 def test_forward_identity_dense():
@@ -118,22 +120,31 @@ def test_softmax_rows_sum_to_one_for_large_inputs():
         assert np.all(out >= 0.0)
 
 
+_BCE_NET = _network_for([nn.dense(1, 1), nn.sigmoid(1)])
+_CCE_NET = _network_for([nn.dense(2, 2), nn.softmax(2)])
+
+
 def test_loss_bce_examples():
-    assert abs(nn.loss_bce([0.5], [1.0]) - np.log(2.0)) < 1e-12
-    assert nn.loss_bce([1.0 - 1e-7], [1.0]) < 1e-6
-    assert abs(nn.loss_bce([0.9, 0.1], [1.0, 0.0]) - (-np.log(0.9))) < 1e-12
+    assert abs(nn.loss(_BCE_NET, [[0.5]], [[1.0]]) - np.log(2.0)) < 1e-12
+    assert nn.loss(_BCE_NET, [[1.0 - 1e-7]], [[1.0]]) < 1e-6
+    assert abs(nn.loss(_BCE_NET, [[0.9], [0.1]], [[1.0], [0.0]]) - (-np.log(0.9))) < 1e-12
 
 
 def test_loss_bce_shape_error():
+    # predictions must be 2-D rows shaped as the targets, for a loss and a gradient alike
+    for predicted, targets in (([[0.5], [0.5]], [[1.0]]), ([0.5, 0.5], [1.0, 0.0])):
+        with pytest.raises(ShapeError):
+            nn.loss(_BCE_NET, predicted, targets)
+    _, cache = nn.forward(_BCE_NET, np.zeros((2, 1)))
     with pytest.raises(ShapeError):
-        nn.loss_bce([0.5, 0.5], [1.0])
+        nn.backward(cache, [1.0, 0.0])
 
 
 def test_loss_categorical_ce_examples():
     eps = 1e-7
-    assert nn.loss_categorical_ce([[1.0 - eps, eps]], [[1.0, 0.0]]) < 1e-6
-    assert abs(nn.loss_categorical_ce([[0.5, 0.5]], [[0.0, 1.0]]) - np.log(2.0)) < 1e-12
-    got = nn.loss_categorical_ce([[0.8, 0.2], [0.3, 0.7]], [[1.0, 0.0], [0.0, 1.0]])
+    assert nn.loss(_CCE_NET, [[1.0 - eps, eps]], [[1.0, 0.0]]) < 1e-6
+    assert abs(nn.loss(_CCE_NET, [[0.5, 0.5]], [[0.0, 1.0]]) - np.log(2.0)) < 1e-12
+    got = nn.loss(_CCE_NET, [[0.8, 0.2], [0.3, 0.7]], [[1.0, 0.0], [0.0, 1.0]])
     assert abs(got - (-np.log(0.8) - np.log(0.7)) / 2.0) < 1e-12
     assert abs(got - 0.28990) < 1e-4
 
@@ -218,6 +229,8 @@ def test_backward_loss_activation_mismatch():
     _, cache = nn.forward(net, np.zeros((1, 2)))
     with pytest.raises(ConsistencyError):
         nn.backward(cache, [[1.0, 0.0]])
+    with pytest.raises(ConsistencyError):
+        nn.loss(net, cache.output, [[1.0, 0.0]])
     nn.backward_from(cache, [[1.0, 0.0]])  # an upstream gradient needs no loss
 
 
@@ -240,7 +253,7 @@ def test_gradients_match_finite_differences():
         nn.backward(cache, targets)
 
         def loss():
-            return network_loss(net, x, targets, loss_kind, dropout_seed)
+            return network_loss(net, x, targets, dropout_seed)
 
         fd = finite_difference_gradients(loss, parameter_arrays(net))
         err = max_relative_error(gradient_arrays(net), fd)
@@ -302,7 +315,7 @@ def test_hidden_softmax_gradients_match_finite_differences():
     _, cache = nn.forward(net, x)
     nn.backward(cache, targets)
 
-    fd = finite_difference_gradients(lambda: network_loss(net, x, targets, "bce"),
+    fd = finite_difference_gradients(lambda: network_loss(net, x, targets),
                                      parameter_arrays(net))
     assert max_relative_error(gradient_arrays(net), fd) < 1e-4
 
@@ -319,7 +332,7 @@ def test_input_gradient_matches_finite_differences():
     analytic = nn.input_gradient(cache, targets)
 
     [fd] = finite_difference_gradients(
-        lambda: network_loss(net, x, targets, "bce", dropout_seed=5), [x]
+        lambda: network_loss(net, x, targets, dropout_seed=5), [x]
     )
     assert max_relative_error([analytic], [fd]) < 1e-4
 
