@@ -139,13 +139,10 @@ def train_svm(data: Dataset, config: TrainConfig) -> LinearModel:
     b = 0.0
     for xb, yb in _minibatches(x, y, config.epochs or SVM_EPOCHS, config.batch_size, rng):
         violating = yb * (xb @ w + b) < 1.0
-        grad_w = 2.0 * SVM_LAMBDA * w
         y_violating = yb[violating]
-        if y_violating.size:
-            grad_w = grad_w - (y_violating @ xb[violating]) / len(yb)
-            grad_b = -float(np.add.reduce(y_violating)) / len(yb)
-        else:
-            grad_b = 0.0
+        # with no violators the hinge terms are +0.0 and -0.0: no bit changes (b is never -0.0)
+        grad_w = 2.0 * SVM_LAMBDA * w - (y_violating @ xb[violating]) / len(yb)
+        grad_b = -float(np.add.reduce(y_violating)) / len(yb)
         w -= SVM_LR * grad_w
         b -= SVM_LR * grad_b
     return LinearModel(w, b)

@@ -226,38 +226,22 @@ def stratified_split(
     replacement; negatives fill the remaining slots the same way.  Rows left
     over (when the table is larger than the requested sizes) are dropped.
     """
-    pos_idx = np.flatnonzero(table.labels == 1)
-    neg_idx = np.flatnonzero(table.labels == 0)
-    need_pos = spec.train_positives + spec.test_positives
-    need_neg = (spec.train_size - spec.train_positives) + (
-        spec.test_size - spec.test_positives
-    )
-    if len(pos_idx) < need_pos:
-        raise CapacityError(
-            f"need {need_pos} positive rows, only {len(pos_idx)} available"
-        )
-    if len(neg_idx) < need_neg:
-        raise CapacityError(
-            f"need {need_neg} negative rows, only {len(neg_idx)} available"
-        )
-
-    pos_perm = rng.permutation(pos_idx)
-    neg_perm = rng.permutation(neg_idx)
-    train_rows = np.concatenate(
-        [
-            pos_perm[: spec.train_positives],
-            neg_perm[: spec.train_size - spec.train_positives],
-        ]
-    )
-    test_rows = np.concatenate(
-        [
-            pos_perm[spec.train_positives : need_pos],
-            neg_perm[spec.train_size - spec.train_positives : need_neg],
-        ]
-    )
+    train_parts, test_parts = [], []
+    for label, name, n_train, n_test in (
+        (1, "positive", spec.train_positives, spec.test_positives),
+        (0, "negative", spec.train_size - spec.train_positives,
+         spec.test_size - spec.test_positives),
+    ):
+        idx = np.flatnonzero(table.labels == label)
+        need = n_train + n_test
+        if len(idx) < need:
+            raise CapacityError(f"need {need} {name} rows, only {len(idx)} available")
+        perm = rng.permutation(idx)
+        train_parts.append(perm[:n_train])
+        test_parts.append(perm[n_train:need])
     # keep the original file order inside each side
-    train_rows = np.sort(train_rows)
-    test_rows = np.sort(test_rows)
+    train_rows = np.sort(np.concatenate(train_parts))
+    test_rows = np.sort(np.concatenate(test_parts))
     return (Dataset(table.features[train_rows], table.labels[train_rows]),
             Dataset(table.features[test_rows], table.labels[test_rows]))
 

@@ -244,24 +244,13 @@ def emit_outputs(results: list, out_dir) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in results:
-            if r.report is None:
-                row = [r.mode, r.model, "", "", "", "", "", ""]
-                if any_failed:
-                    row.append(f"error: {r.error}")
-            else:
-                rep = r.report
-                row = [
-                    r.mode,
-                    r.model,
-                    f"{rep.accuracy * 100.0:.2f}",
-                    f"{rep.recall:.6f}",
-                    f"{rep.precision:.6f}",
-                    f"{rep.f1:.6f}",
-                    f"{rep.specificity:.6f}",
-                    f"{rep.auc_roc:.6f}",
-                ]
-                if any_failed:
-                    row.append("ok")
+            rep = r.report
+            row = [r.mode, r.model]
+            row += [""] * 6 if rep is None else [
+                f"{rep.accuracy * 100.0:.2f}", f"{rep.recall:.6f}", f"{rep.precision:.6f}",
+                f"{rep.f1:.6f}", f"{rep.specificity:.6f}", f"{rep.auc_roc:.6f}"]
+            if any_failed:
+                row.append(f"error: {r.error}" if rep is None else "ok")
             writer.writerow(row)
     for r in results:
         if r.roc is not None:

@@ -27,9 +27,16 @@ class MetricsReport:
     auc_roc: float
 
 
-def _check_binary(name: str, values: np.ndarray) -> None:
-    if not np.all((values == 0) | (values == 1)):
-        raise PreconditionError(f"{name} must contain only 0 and 1")
+def _labels_and_scores(y_true, scores) -> tuple[np.ndarray, np.ndarray]:
+    """``y_true`` as an array of 0/1 labels and ``scores`` as float64, both
+    1-D and of one shape."""
+    t = np.asarray(y_true)
+    s = np.asarray(scores, dtype=np.float64)
+    if t.shape != s.shape or t.ndim != 1:
+        raise ShapeError(f"labels/scores must match: {t.shape} vs {s.shape}")
+    if not np.all((t == 0) | (t == 1)):
+        raise PreconditionError("y_true must contain only 0 and 1")
+    return t, s
 
 
 def _ratio(num: float, den: float) -> float:
@@ -40,11 +47,8 @@ def compute_metrics(y_true, scores, auc: float) -> MetricsReport:
     """Accuracy, recall, precision, F1 and specificity of labelling each row
     1 iff its score is strictly above THRESHOLD, against the 0/1 truth
     ``y_true``; ``auc`` is passed through."""
-    t = np.asarray(y_true)
-    predicted = np.asarray(scores) > THRESHOLD
-    if t.shape != predicted.shape or t.ndim != 1:
-        raise ShapeError(f"labels/scores must match: {t.shape} vs {predicted.shape}")
-    _check_binary("y_true", t)
+    t, s = _labels_and_scores(y_true, scores)
+    predicted = s > THRESHOLD
     if t.size == 0:
         raise PreconditionError("no rows to score")
     actual = t == 1
@@ -67,11 +71,7 @@ def compute_metrics(y_true, scores, auc: float) -> MetricsReport:
 def roc_auc(y_true, scores) -> tuple[np.ndarray, float]:
     """ROC curve, (k, 2) (fpr, tpr) rows from (0,0) to (1,1) non-decreasing in
     both, and trapezoidal AUC; raises when truth has a single class."""
-    t = np.asarray(y_true)
-    s = np.asarray(scores, dtype=np.float64)
-    if t.shape != s.shape or t.ndim != 1:
-        raise ShapeError(f"labels/scores must match: {t.shape} vs {s.shape}")
-    _check_binary("y_true", t)
+    t, s = _labels_and_scores(y_true, scores)
     n_pos = int(np.sum(t == 1))
     n_neg = int(np.sum(t == 0))
     if n_pos == 0 or n_neg == 0:

@@ -141,6 +141,17 @@ def test_svm_single_class_error():
         cl.train_svm(ds, cl.TrainConfig())
 
 
+def test_train_config_validation():
+    for bad in (dict(epochs=0), dict(batch_size=0)):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be >= 1"):
+            cl.TrainConfig(**bad)
+
+
+def test_tree_needs_a_row():
+    with pytest.raises(ValueError, match="at least one row"):
+        cl.train_tree(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)), cl.TrainConfig())
+
+
 def test_tree_pure_data_single_leaf():
     ds = Dataset(np.random.default_rng(0).normal(size=(10, 3)), np.ones(10, dtype=np.int64))
     model = cl.train_tree(ds, cl.TrainConfig())
@@ -265,6 +276,13 @@ def test_predict_score_shape_error():
     model = cl.LinearModel(np.zeros(3), 0.0)
     with pytest.raises(ShapeError):
         cl.predict_score(model, np.ones((2, 4)))
+    with pytest.raises(ShapeError, match="must be 2-D"):
+        cl.predict_score(model, np.ones(3))
+
+
+def test_predict_score_unknown_model_type():
+    with pytest.raises(TypeError, match="unknown model type str"):
+        cl.predict_score("svm", np.ones((2, 3)))
 
 
 def test_score_monotone_in_margin():

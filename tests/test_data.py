@@ -60,6 +60,8 @@ def test_load_csv_missing_label_column(tmp_path):
     path = _write(tmp_path, "a,b,c\n1,2,3\n")
     with pytest.raises(SchemaError):
         data.load_csv(path)
+    with pytest.raises(SchemaError, match="file is empty"):
+        data.load_csv(_write(tmp_path, ""))
 
 
 def test_load_csv_refuses_a_label_named_twice(tmp_path):

@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ganbalance import classifiers, experiment, gan
+from ganbalance import classifiers, experiment, gan, metrics
 from ganbalance.data import Dataset, SplitSpec
 from ganbalance.errors import PreconditionError, RunFailureError
 from ganbalance.experiment import (
     MODELS,
     MODES,
     ExperimentConfig,
+    RunResult,
     _train_one,
     derive_seed,
     emit_outputs,
@@ -297,6 +298,20 @@ def test_score_ties_are_labelled_negative(monkeypatch, tmp_path):
 def test_emit_outputs_rejects_empty_results(tmp_path):
     with pytest.raises(PreconditionError):
         emit_outputs([], tmp_path)
+
+
+def test_emit_outputs_metrics_bytes_with_a_failed_pair(tmp_path):
+    # csv.writer quotes an error cell holding a comma or a double quote
+    report = metrics.MetricsReport(accuracy=0.75, recall=0.5, precision=1.0, f1=2 / 3,
+                                   specificity=1.0, auc_roc=0.8125)
+    emit_outputs([RunResult("raw", "svm", report, 0.0),
+                  RunResult("gan", "svm", None, 0.0, error='ValueError: bad cell "x", row 3')],
+                 tmp_path)
+    assert (tmp_path / "metrics.csv").read_bytes() == (
+        b"mode,model,accuracy_pct,recall,precision,f1,specificity,auc_roc,status\r\n"
+        b"raw,svm,75.00,0.500000,1.000000,0.666667,1.000000,0.812500,ok\r\n"
+        b'gan,svm,,,,,,,"error: ValueError: bad cell ""x"", row 3"\r\n'
+    )
 
 
 def test_missing_data_file_raises_oserror(tmp_path):

@@ -69,6 +69,8 @@ def test_sample_noise_shape_and_determinism():
     assert np.array_equal(a, b)
     one = gan.sample_noise(1, np.random.default_rng(2))
     assert one.shape == (1, 100)
+    with pytest.raises(PreconditionError):
+        gan.sample_noise(0, np.random.default_rng(2))
 
 
 def test_sample_noise_moments():

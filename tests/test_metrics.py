@@ -38,6 +38,10 @@ def test_confusion_validates_inputs():
         metrics.compute_metrics([1, 0], [0.9], auc=0.5)
     with pytest.raises(PreconditionError):
         metrics.compute_metrics([1, 2], [0.9, 0.1], auc=0.5)
+    with pytest.raises(ShapeError):
+        metrics.roc_auc([1, 0], [0.9])
+    with pytest.raises(PreconditionError):
+        metrics.roc_auc([1, 2], [0.9, 0.1])
 
 
 def test_compute_metrics_perfect():

@@ -232,6 +232,8 @@ def test_backward_loss_activation_mismatch():
     with pytest.raises(ConsistencyError):
         nn.loss(net, cache.output, [[1.0, 0.0]])
     nn.backward_from(cache, [[1.0, 0.0]])  # an upstream gradient needs no loss
+    with pytest.raises(ShapeError, match="upstream gradient shape"):
+        nn.backward_from(cache, [1.0, 0.0])
 
 
 def test_parameter_fields_cannot_be_rebound():
