@@ -13,19 +13,7 @@ import numpy as np
 
 from ganbalance import gan, nn
 from ganbalance.data import Dataset
-from ganbalance.errors import (
-    EmptyMinorityError,
-    NothingToBalanceError,
-    PreconditionError,
-)
-
-
-def isolate_positives(train: Dataset) -> Dataset:
-    """Rows with label 1, order preserved; these train the generator."""
-    mask = train.labels == 1
-    if not mask.any():
-        raise EmptyMinorityError("training set has no positive rows")
-    return Dataset(train.features[mask], train.labels[mask])
+from ganbalance.errors import NothingToBalanceError, PreconditionError
 
 
 def random_oversample(train: Dataset, rng: np.random.Generator) -> Dataset:

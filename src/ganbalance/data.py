@@ -84,7 +84,7 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
     label column that is missing or named twice, a header with no feature
     column, or non-binary labels.
     """
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -172,7 +172,7 @@ def _raise_first_bad_cell(path, n_columns: int, label_idx: int) -> None:
     """Re-read the file cell by cell and raise the error of the first row or
     cell, in file order, that breaks the input rules.  Returns only when
     every row follows them."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row_pos, row in enumerate(reader, start=2):

@@ -125,9 +125,8 @@ def _load_split_scale(config: ExperimentConfig):
 def _train_generator(config: ExperimentConfig, train_scaled):
     """The GAN trained on the split's positives, its log, and the rng that
     samples from it; ``run`` and ``run_synth`` share every seed here."""
-    positives = augment.isolate_positives(train_scaled)
     gan_cfg = dataclasses.replace(config.gan, seed=derive_seed(config.seed, "gan-train"))
-    generator, log = gan.train_gan(positives, gan_cfg)
+    generator, log = gan.train_gan(train_scaled, gan_cfg)
     return generator, log, np.random.default_rng(derive_seed(config.seed, "gan-generate"))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ganbalance import nn
 from ganbalance.data import Dataset, write_csv
-from ganbalance.errors import GanStalledError, PreconditionError
+from ganbalance.errors import EmptyMinorityError, GanStalledError, PreconditionError
 
 NOISE_DIM = 100
 GENERATOR_HIDDEN = 100
@@ -78,20 +78,21 @@ def sample_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((n, NOISE_DIM))
 
 
-def train_gan(positives: Dataset, config: GanTrainConfig) -> tuple[nn.Network, list]:
-    """Train the adversarial pair on minority rows; returns the generator
-    network and the log: one ``(epoch, gen_loss, disc_loss, disc_acc)`` tuple
-    every ``log_every`` epochs and at the last.
+def train_gan(train: Dataset, config: GanTrainConfig) -> tuple[nn.Network, list]:
+    """Train the adversarial pair on the label-1 rows of ``train``, in file
+    order; returns the generator network and the log: one ``(epoch,
+    gen_loss, disc_loss, disc_acc)`` tuple every ``log_every`` epochs and at
+    the last.
 
     Raises GanStalledError when the generator's gradient was exactly zero in
     each of the last ceil(epochs / 10) epochs: the discriminator saturated
     (as a too-large learning rate makes it), so the generator stopped learning.
     """
-    x = positives.features
+    x = train.features[train.labels == 1]
+    if x.shape[0] == 0:
+        raise EmptyMinorityError("training set has no positive rows")
     if x.shape[0] < 2:
         raise PreconditionError("need at least 2 minority rows to train")
-    if not np.all(positives.labels == 1):
-        raise PreconditionError("generator trains on label-1 rows only")
     if x.min() < 0.0 or x.max() > 1.0:
         raise PreconditionError("minority features must lie in [0, 1]")
 

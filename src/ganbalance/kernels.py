@@ -28,8 +28,8 @@ def relu_forward(X, out=None):
     return np.maximum(X, 0.0, out=out)
 
 
-def relu_backward(X, delta):
-    return np.where(X > 0.0, delta, 0.0)
+def relu_backward(Y, delta):
+    return np.where(Y > 0.0, delta, 0.0)
 
 
 def sigmoid_forward(X):
@@ -46,6 +46,10 @@ def sigmoid_backward(Y, delta):
 def softmax_forward(X):
     e = np.exp(X - X.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_backward(Y, delta):
+    return Y * (delta - np.sum(delta * Y, axis=1, keepdims=True))
 
 
 # --- batch normalization ----------------------------------------------------

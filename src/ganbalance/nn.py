@@ -30,6 +30,14 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Each activation's kernels, by layer kind.  The backward kernel reads the
+# activation's output, which the training pass records.  The values are the
+# kernels themselves, as perfbench/traced_cli.py swaps dict values to trace them.
+_ACTIVATIONS = {"relu": kernels.relu_forward, "sigmoid": kernels.sigmoid_forward,
+                "softmax": kernels.softmax_forward}
+_ACTIVATION_GRADS = {"relu": kernels.relu_backward, "sigmoid": kernels.sigmoid_backward,
+                     "softmax": kernels.softmax_backward}
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -197,15 +205,9 @@ def forward(net: Network, x, rng=None) -> tuple[np.ndarray, ForwardCache]:
         if layer.kind == "dense":
             layer_data.append(("dense", h))
             h = kernels.dense_forward(h, params.weights, params.bias)
-        elif layer.kind == "relu":
-            layer_data.append(("relu", h))
-            h = kernels.relu_forward(h)
-        elif layer.kind == "sigmoid":
-            h = kernels.sigmoid_forward(h)
-            layer_data.append(("sigmoid", h))
-        elif layer.kind == "softmax":
-            h = kernels.softmax_forward(h)
-            layer_data.append(("softmax", h))
+        elif layer.kind in _ACTIVATIONS:
+            h = _ACTIVATIONS[layer.kind](h)
+            layer_data.append((layer.kind, h))
         elif layer.kind == "batchnorm":
             h, xhat, mean, var = kernels.batchnorm_train_forward(h, params.gamma, params.beta,
                                                                  BATCHNORM_EPS)
@@ -230,10 +232,8 @@ def predict(net: Network, x) -> np.ndarray:
             h = kernels.dense_forward(h, params.weights, params.bias)
         elif layer.kind == "relu":  # in place, unless h may still be the caller's x
             h = kernels.relu_forward(h, out=None if np.may_share_memory(h, x) else h)
-        elif layer.kind == "sigmoid":
-            h = kernels.sigmoid_forward(h)
-        elif layer.kind == "softmax":
-            h = kernels.softmax_forward(h)
+        elif layer.kind in _ACTIVATIONS:
+            h = _ACTIVATIONS[layer.kind](h)
         elif layer.kind == "batchnorm":
             h = kernels.batchnorm_infer_forward(h, params.gamma, params.beta, params.running_mean,
                                                 params.running_var, BATCHNORM_EPS)
@@ -267,11 +267,6 @@ def loss(net: Network, predicted, targets) -> float:
     return float(np.mean(-np.sum(t * np.log(p), axis=1)))
 
 
-def _softmax_backward(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    inner = np.sum(delta * y, axis=1, keepdims=True)
-    return y * (delta - inner)
-
-
 def _walk_backward(cache: ForwardCache, delta, start, fill: bool):
     """Backpropagate ``delta`` from layer ``start`` to the input.  With
     ``fill``, write every parameter gradient into the network's
@@ -287,12 +282,8 @@ def _walk_backward(cache: ForwardCache, delta, start, fill: bool):
                 entry[1], np.ascontiguousarray(delta), net.layers[i].weights,
                 *out, not fill or i > 0,
             )
-        elif layer.kind == "relu":
-            delta = kernels.relu_backward(entry[1], delta)
-        elif layer.kind == "sigmoid":
-            delta = kernels.sigmoid_backward(entry[1], delta)
-        elif layer.kind == "softmax":
-            delta = _softmax_backward(entry[1], delta)
+        elif layer.kind in _ACTIVATION_GRADS:
+            delta = _ACTIVATION_GRADS[layer.kind](entry[1], delta)
         elif layer.kind == "batchnorm":
             delta = kernels.batchnorm_backward(
                 np.ascontiguousarray(delta), entry[1], net.layers[i].gamma, entry[2],

@@ -11,36 +11,13 @@ from hypothesis import strategies as st
 
 from ganbalance import augment, experiment
 from ganbalance.data import Dataset
-from ganbalance.errors import (
-    EmptyMinorityError,
-    NothingToBalanceError,
-    PreconditionError,
-)
+from ganbalance.errors import NothingToBalanceError, PreconditionError
 from helpers import fresh_generator, gaussian_blobs
 
 
 def _imbalanced(n_pos, n_neg, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     return gaussian_blobs(rng, n_pos, n_neg, dim)
-
-
-def test_isolate_positives_selects_and_preserves_order():
-    feats = np.arange(12, dtype=np.float64).reshape(6, 2)
-    labels = np.array([0, 1, 0, 1, 1, 0], dtype=np.int64)
-    pos = augment.isolate_positives(Dataset(feats, labels))
-    assert np.array_equal(pos.features, feats[[1, 3, 4]])
-    assert np.all(pos.labels == 1)
-
-
-def test_isolate_positives_empty_minority():
-    with pytest.raises(EmptyMinorityError):
-        augment.isolate_positives(Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64)))
-
-
-def test_isolate_positives_all_positive_is_identity():
-    ds = Dataset(np.ones((4, 2)), np.ones(4, dtype=np.int64))
-    pos = augment.isolate_positives(ds)
-    assert np.array_equal(pos.features, ds.features)
 
 
 def test_oversample_balances_exactly():

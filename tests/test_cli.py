@@ -193,6 +193,18 @@ def test_nothing_to_balance_exits_three_without_training_the_gan(
     assert not (tmp_path / "gan_training_log.csv").exists()
 
 
+def test_run_without_training_positives_writes_gan_error_rows(corpus, tmp_path, capsys):
+    code = main(["run", "--data", str(corpus), "--out", str(tmp_path), "--modes", "raw,gan",
+                 "--train-size", "150", "--test-size", "100", "--train-pos", "0",
+                 "--test-pos", "10", "--gan-epochs", "5"])
+    capsys.readouterr()
+    assert code == 3
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert rows[5:] == [f"gan,{model},,,,,,,error: EmptyMinorityError: training set has no "
+                        "positive rows" for model in ("svm", "dt", "logreg", "mlp")]
+    assert not (tmp_path / "gan_training_log.csv").exists()
+
+
 def test_cli_and_library_write_identical_outputs(tmp_path, capsys):
     # every run flag away from its default, and both tuples out of canonical order
     data = tmp_path / "data.csv"

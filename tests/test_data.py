@@ -296,6 +296,23 @@ def test_load_csv_invalid_utf8_byte_names_position(tmp_path):
     assert (err.value.row, err.value.column) == (3, 2)
 
 
+@pytest.mark.parametrize("body", [b"Class,a\n0,1.5\n1,2.5\n",
+                                  b"a,Class,b\n1.0,0,2.0\n3.0,1,4.0\n"])
+def test_load_csv_ignores_a_leading_utf8_bom(tmp_path, body):
+    # spreadsheet "CSV UTF-8" exports start the file with the bytes EF BB BF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body)
+    want, got = data.load_csv(plain), data.load_csv(marked)
+    assert got.feature_names == want.feature_names
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    marked.write_bytes(b"\xef\xbb\xbfa,b,Class\n1.0,2.0,0\n3.0,x,1\n")
+    with pytest.raises(CsvParseError) as err:
+        data.load_csv(marked)
+    assert (err.value.row, err.value.column) == (3, 2)
+
+
 def test_load_csv_header_only_is_an_empty_table(tmp_path):
     path = _write(tmp_path, "a,b,Class\n")
     with warnings.catch_warnings():

@@ -7,7 +7,7 @@ import pytest
 
 from ganbalance import gan, nn
 from ganbalance.data import Dataset
-from ganbalance.errors import GanStalledError, PreconditionError
+from ganbalance.errors import EmptyMinorityError, GanStalledError, PreconditionError
 from helpers import fresh_generator, parameter_arrays
 
 
@@ -129,12 +129,26 @@ def test_train_precondition_errors():
     config = gan.GanTrainConfig(epochs=1)
     with pytest.raises(PreconditionError):
         gan.train_gan(Dataset(np.full((1, 3), 0.5), np.ones(1, dtype=np.int64)), config)
-    mixed = Dataset(np.full((4, 3), 0.5), np.array([1, 1, 0, 1], dtype=np.int64))
-    with pytest.raises(PreconditionError):
-        gan.train_gan(mixed, config)
     out_of_range = Dataset(np.full((4, 3), 1.5), np.ones(4, dtype=np.int64))
     with pytest.raises(PreconditionError):
         gan.train_gan(out_of_range, config)
+    for n in (1, 4):  # no positive row is reported before the 2-row check
+        negatives = Dataset(np.full((n, 3), 0.5), np.zeros(n, dtype=np.int64))
+        with pytest.raises(EmptyMinorityError, match="^training set has no positive rows$"):
+            gan.train_gan(negatives, config)
+
+
+def test_train_gan_fits_the_label_1_rows_of_a_mixed_set():
+    # label-0 rows interleaved with the positives change nothing, even out of [0, 1]
+    positives = _minority(n=12, dim=3)
+    at = np.sort(np.random.default_rng(3).choice(21, size=12, replace=False))
+    features, labels = np.full((21, 3), 2.5), np.zeros(21, dtype=np.int64)
+    features[at], labels[at] = positives.features, 1
+    config = gan.GanTrainConfig(epochs=6, seed=4, log_every=2)
+    gen_mixed, log_mixed = gan.train_gan(Dataset(features, labels), config)
+    gen_pos, log_pos = gan.train_gan(positives, config)
+    assert gen_mixed.flat.tobytes() == gen_pos.flat.tobytes()
+    assert log_mixed == log_pos
 
 
 def test_generate_shape_and_open_interval():

@@ -4,7 +4,9 @@
 the references other modules captured (module attributes and dict values such
 as ``experiment._TRAINERS``).  A trainer or other counted function reached
 any other way escapes the trace, and ``checks.check_trace_facts`` then
-reports missing Adam updates or AUCs.  The tracer rewraps every module
+reports missing Adam updates or AUCs; a kernel reached that way (held in a
+tuple, say) shows zero calls, so the all-mode run must call every kernel
+that ``perfbench/run.py`` reports.  The tracer rewraps every module
 function, so each run happens in its own process.  ``perfbench/microbench.py``
 calls the trainers and builds their configs itself, so it runs here too, at
 its smallest size.
@@ -25,6 +27,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 import checks  # noqa: E402
 import microbench  # noqa: E402
+import run as bench_run  # noqa: E402
 from workloads import Split, Table, Workload  # noqa: E402
 
 TABLE = Table("tiny", 4, positives=60, negatives=400, dup_positives=2, dup_negatives=3)
@@ -67,9 +70,12 @@ def test_traced_cli_run_meets_the_trace_checks(workload, table_csv, tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    facts = json.loads(trace_path.read_text())["facts"]
-    assert checks.check_trace_facts(facts, workload) == []
+    trace = json.loads(trace_path.read_text())
+    assert checks.check_trace_facts(trace["facts"], workload) == []
     assert checks.check_outputs(out_dir, workload) == []
+    if workload.command == "run":
+        calls = {k: trace["stats"].get(f"kernels.{k}", [0])[0] for k in bench_run.KERNELS}
+        assert [k for k, n in calls.items() if n < 1] == []
 
 
 def test_microbench_runs_against_the_library(monkeypatch):
