@@ -26,15 +26,16 @@ from ganbalance.errors import CapacityError, CsvParseError, SchemaError
 
 @dataclass
 class RawTable:
-    """Parsed CSV: named feature columns plus a binary label column."""
+    """Parsed CSV: every column as read, the label at label_index, and the rows in play."""
 
     feature_names: list
-    features: np.ndarray  # (n, d) float64
-    labels: np.ndarray  # (n,) int64 in {0, 1}
+    cells: np.ndarray  # (n, d + 1) float64, the label column at label_index
+    label_index: int
+    rows: np.ndarray  # ascending indices into cells
 
     @property
     def n_rows(self) -> int:
-        return self.features.shape[0]
+        return len(self.rows)
 
 
 @dataclass
@@ -103,16 +104,12 @@ def load_csv(path, label_column: str = "Class") -> RawTable:
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
         values = _read_body(fh, len(header))
 
-    if (
-        values is None
-        or not np.isfinite(values).all()
-        or not np.isin(values[:, label_idx], (0.0, 1.0)).all()
-    ):
+    if values is None or not np.isfinite(values).all() \
+            or not np.isin(values[:, label_idx], (0.0, 1.0)).all():
         _raise_first_bad_cell(path, len(header), label_idx)
         raise SchemaError(f"{path}: the numeric reader rejected the file, "
                           "but no cell breaks the input rules")
-    labels = values[:, label_idx].astype(np.int64)
-    return RawTable(feature_names, np.delete(values, label_idx, axis=1), labels)
+    return RawTable(feature_names, values, label_idx, np.arange(len(values)))
 
 
 class _CountedLines:
@@ -192,58 +189,56 @@ def _raise_first_bad_cell(path, n_columns: int, label_idx: int) -> None:
 
 
 def dedup(table: RawTable) -> RawTable:
-    """Drop rows identical across all features and the label, keeping the
-    first occurrence and the survivors' relative order.
+    """Drop rows identical across all columns, the label included, keeping
+    the first occurrence; returns the same cells with ``rows`` narrowed.
 
     Rows compare as floats, as in ``np.unique(..., axis=0)``: -0.0 equals
     0.0 and a row holding NaN equals no other row.
     """
-    features = np.ascontiguousarray(table.features)
-    n, d = features.shape
+    cells = np.ascontiguousarray(table.cells)
+    keep = np.zeros(len(cells), dtype=bool)
+    keep[table.rows] = True
     # equal rows sort next to each other, earliest file position first
-    rows = features.view([(f"f{j}", features.dtype) for j in range(d)]).ravel()
-    order = np.argsort(rows, kind="stable")
-    order = order[np.argsort(table.labels[order], kind="stable")]
+    whole_rows = cells.view([(f"f{j}", cells.dtype) for j in range(cells.shape[1])]).ravel()
+    order = np.argsort(whole_rows, kind="stable")
+    order = order[keep[order]]
     # candidate pairs of sort neighbours, narrowed one column at a time
     later, earlier = order[1:], order[:-1]
-    same = table.labels[later] == table.labels[earlier]
-    later, earlier = later[same], earlier[same]
-    for j in range(d):
-        column = features[:, j]
+    for column in cells.T:
         same = column[later] == column[earlier]
         later, earlier = later[same], earlier[same]
-    keep = np.ones(n, dtype=bool)
     keep[later] = False
-    return RawTable(list(table.feature_names), features[keep], table.labels[keep])
+    return RawTable(list(table.feature_names), cells, table.label_index, np.flatnonzero(keep))
 
 
 def stratified_split(
     table: RawTable, spec: SplitSpec, rng: np.random.Generator
 ) -> tuple[Dataset, Dataset]:
-    """Partition into train/test with exact per-class counts.
+    """Partition the rows in play into train/test with exact per-class counts.
 
     Positives are assigned to the two sides uniformly at random without
     replacement; negatives fill the remaining slots the same way.  Rows left
     over (when the table is larger than the requested sizes) are dropped.
     """
+    labels = table.cells[table.rows, table.label_index]
     train_parts, test_parts = [], []
     for label, name, n_train, n_test in (
         (1, "positive", spec.train_positives, spec.test_positives),
         (0, "negative", spec.train_size - spec.train_positives,
          spec.test_size - spec.test_positives),
     ):
-        idx = np.flatnonzero(table.labels == label)
+        idx = table.rows[labels == label]
         need = n_train + n_test
         if len(idx) < need:
             raise CapacityError(f"need {need} {name} rows, only {len(idx)} available")
         perm = rng.permutation(idx)
         train_parts.append(perm[:n_train])
         test_parts.append(perm[n_train:need])
-    # keep the original file order inside each side
-    train_rows = np.sort(np.concatenate(train_parts))
-    test_rows = np.sort(np.concatenate(test_parts))
-    return (Dataset(table.features[train_rows], table.labels[train_rows]),
-            Dataset(table.features[test_rows], table.labels[test_rows]))
+    # each side keeps file order and gathers its rows without the label column
+    features = np.delete(np.arange(table.cells.shape[1]), table.label_index)
+    sides = (np.sort(np.concatenate(parts)) for parts in (train_parts, test_parts))
+    return tuple(Dataset(table.cells[np.ix_(rows, features)],
+                         table.cells[rows, table.label_index].astype(np.int64)) for rows in sides)
 
 
 def scale_train_test(

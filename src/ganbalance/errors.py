@@ -47,7 +47,11 @@ class ConsistencyError(GanBalanceError, RuntimeError):
 
 
 class GanStalledError(GanBalanceError, RuntimeError):
-    """The GAN's generator stopped receiving any gradient before training ended."""
+    """The GAN's generator stopped receiving any gradient; ``log`` is its training log."""
+
+    def __init__(self, message: str, log: list):
+        super().__init__(message)
+        self.log = log
 
 
 class RunFailureError(GanBalanceError, RuntimeError):

@@ -27,7 +27,7 @@ import numpy as np
 from ganbalance import augment, classifiers, data, gan, metrics
 from ganbalance.classifiers import TrainConfig
 from ganbalance.data import SplitSpec
-from ganbalance.errors import GanBalanceError, PreconditionError, RunFailureError
+from ganbalance.errors import GanBalanceError, GanStalledError, PreconditionError, RunFailureError
 from ganbalance.gan import GanTrainConfig
 
 MODES = ("raw", "oversample", "gan")
@@ -157,8 +157,8 @@ def run(config: ExperimentConfig) -> list:
     Phases: prepare, balance every mode (the GAN and every dump come before
     the first fit), fit and score mode by mode, emit.  A failed fit, and each
     pair of a mode whose balancing failed, gets an error row in metrics.csv;
-    a RunFailureError is raised after everything has been written.  A test
-    split without both classes is refused before anything is loaded.
+    a RunFailureError follows once all is written, a stalled GAN's log too.
+    A test split of one class is refused before anything is loaded.
     """
     split = config.split
     if not 1 <= split.test_positives < split.test_size:
@@ -185,6 +185,7 @@ def run(config: ExperimentConfig) -> list:
                 train_sets[mode] = augment.gan_augment(train_scaled, generator, rng)
         except GanBalanceError as exc:
             train_sets[mode] = exc
+            gan_log = exc.log if isinstance(exc, GanStalledError) else gan_log
             continue
         if config.dump_augmented and mode != "raw":
             tag = "duplicated" if mode == "oversample" else "generated"

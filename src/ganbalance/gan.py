@@ -84,9 +84,9 @@ def train_gan(train: Dataset, config: GanTrainConfig) -> tuple[nn.Network, list]
     gen_loss, disc_loss, disc_acc)`` tuple every ``log_every`` epochs and at
     the last.
 
-    Raises GanStalledError when the generator's gradient was exactly zero in
-    each of the last ceil(epochs / 10) epochs: the discriminator saturated
-    (as a too-large learning rate makes it), so the generator stopped learning.
+    Raises GanStalledError, which carries the log, when the generator's
+    gradient was exactly zero in each of the last ceil(epochs / 10) epochs: the
+    discriminator saturated (as a too-large learning rate makes it).
     """
     x = train.features[train.labels == 1]
     if x.shape[0] == 0:
@@ -135,7 +135,7 @@ def train_gan(train: Dataset, config: GanTrainConfig) -> tuple[nn.Network, list]
     if stalled >= -(-config.epochs // 10):
         raise GanStalledError(
             f"the generator's gradient was zero from epoch {config.epochs - stalled + 1} on "
-            f"(the discriminator saturated); lower --gan-lr ({config.learning_rate:g})")
+            f"(the discriminator saturated); lower --gan-lr ({config.learning_rate:g})", log)
     return gen, log
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ganbalance import gan, nn
-from ganbalance.data import Dataset
+from ganbalance.data import Dataset, RawTable
 
 HIDDEN_KINDS = ("relu", "sigmoid", "batchnorm", "dropout")
 # the numpy release whose output digests the tests pin (other releases may round differently)
@@ -102,6 +102,17 @@ def gaussian_blobs(
     )
     order = rng.permutation(len(labels))
     return Dataset(features[order], labels[order])
+
+
+def raw_table(names, features, labels, label_index=None) -> RawTable:
+    """The table ``load_csv`` returns for a file of these feature columns with
+    the label column inserted at ``label_index`` (default: last), every row in
+    play."""
+    features = np.asarray(features, dtype=np.float64)
+    if label_index is None:
+        label_index = features.shape[1]
+    cells = np.insert(features, label_index, labels, axis=1)
+    return RawTable(list(names), cells, label_index, np.arange(len(cells)))
 
 
 def write_dataset_csv(dataset: Dataset, path, label_column: str = "Class") -> None:

@@ -337,6 +337,23 @@ def per_cell_load_csv(path, label_column: str = "Class", parse_cell=float):
     return feature_names, features, np.asarray(labels, dtype=np.int64)
 
 
+def reference_stratified_split(features, labels, spec, rng):
+    """The split on separate feature and label arrays of the rows in play:
+    per class (1, then 0) one ``rng.permutation`` of its positions, the first
+    rows to train and the next to test, each side gathered in file order.
+    Returns ((train_x, train_y), (test_x, test_y))."""
+    train_parts, test_parts = [], []
+    for label, n_train, n_test in (
+        (1, spec.train_positives, spec.test_positives),
+        (0, spec.train_size - spec.train_positives, spec.test_size - spec.test_positives),
+    ):
+        perm = rng.permutation(np.flatnonzero(labels == label))
+        train_parts.append(perm[:n_train])
+        test_parts.append(perm[n_train:n_train + n_test])
+    sides = [np.sort(np.concatenate(parts)) for parts in (train_parts, test_parts)]
+    return tuple((features[rows], labels[rows]) for rows in sides)
+
+
 def per_node_argsort_tree(x, y, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
     """CART grown by stable-argsorting every column at every node and
     copying each child's rows, with ``split_scan_loop``."""

@@ -390,6 +390,7 @@ def test_stalled_gan_synth_exits_two_naming_the_flag(corpus, tmp_path):
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and "--gan-lr" in out.stderr
     assert "RuntimeWarning" not in out.stderr
+    assert list(tmp_path.iterdir()) == []  # synth writes nothing, not even the log
 
 
 def test_stalled_gan_run_exits_three_with_gan_error_rows(corpus, tmp_path):
@@ -402,7 +403,10 @@ def test_stalled_gan_run_exits_three_with_gan_error_rows(corpus, tmp_path):
     assert all(row.startswith(f"gan,{model},") and "error: GanStalledError:" in row
                for row, model in zip(rows[2:], ("dt", "logreg")))
     assert len(rows) == 4
-    assert not (tmp_path / "gan_training_log.csv").exists()
+    # the stalled GAN's log is kept: one line per epoch, the header first
+    log = (tmp_path / "gan_training_log.csv").read_text().splitlines()
+    assert log[0] == "epoch,gen_loss,disc_loss,disc_acc"
+    assert [line.split(",")[0] for line in log[1:]] == ["1", "2", "3"]
 
 
 @pytest.mark.parametrize("test_pos", ["0", "100"])

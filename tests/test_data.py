@@ -1,5 +1,6 @@
 """CSV ingestion, dedup, stratified split, and the two-stage scaling."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -11,13 +12,21 @@ from hypothesis import strategies as st
 
 from ganbalance import data
 from ganbalance.errors import CapacityError, CsvParseError, SchemaError
-from oracles import per_cell_load_csv
+from helpers import raw_table
+from oracles import per_cell_load_csv, reference_stratified_split
 
 
 def _write(tmp_path, text, name="t.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _columns(table):
+    """(features, int64 labels) of a raw table's rows in play."""
+    cells = table.cells[table.rows]
+    return (np.delete(cells, table.label_index, axis=1),
+            cells[:, table.label_index].astype(np.int64))
 
 
 def test_load_csv_round_trip(tmp_path):
@@ -28,8 +37,8 @@ def test_load_csv_round_trip(tmp_path):
     table = data.load_csv(path)
     assert table.feature_names == ["a", "b"]
     assert table.n_rows == 3
-    assert np.array_equal(table.labels, [0, 1, 0])
-    assert np.array_equal(table.features[1], [3.5, -4.0])
+    assert table.label_index == 2 and np.array_equal(table.rows, [0, 1, 2])
+    assert np.array_equal(table.cells, [[1.0, 2.0, 0.0], [3.5, -4.0, 1.0], [0.0, 0.25, 0.0]])
 
 
 def test_load_csv_preserves_row_order_and_label_position(tmp_path):
@@ -37,7 +46,10 @@ def test_load_csv_preserves_row_order_and_label_position(tmp_path):
     path = _write(tmp_path, "a,Class,b\n1,0,2\n3,1,4\n")
     table = data.load_csv(path)
     assert table.feature_names == ["a", "b"]
-    assert np.array_equal(table.features, [[1.0, 2.0], [3.0, 4.0]])
+    assert table.label_index == 1
+    features, labels = _columns(table)
+    assert np.array_equal(features, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(labels, [0, 1])
 
 
 def test_load_csv_non_numeric_cell_names_position(tmp_path):
@@ -91,26 +103,20 @@ def test_load_csv_missing_file(tmp_path):
 def test_load_csv_custom_label_column(tmp_path):
     path = _write(tmp_path, "x,fraud\n0.5,1\n")
     table = data.load_csv(path, label_column="fraud")
-    assert np.array_equal(table.labels, [1])
+    assert table.label_index == 1 and np.array_equal(_columns(table)[1], [1])
 
 
 def test_dedup_collapses_identical_rows():
-    table = data.RawTable(
-        ["a"],
-        np.array([[1.0], [2.0], [1.0], [3.0], [2.0]]),
-        np.array([0, 1, 0, 0, 1], dtype=np.int64),
-    )
+    table = raw_table(["a"], [[1.0], [2.0], [1.0], [3.0], [2.0]], [0, 1, 0, 0, 1])
     out = data.dedup(table)
-    assert np.array_equal(out.features[:, 0], [1.0, 2.0, 3.0])
-    assert np.array_equal(out.labels, [0, 1, 0])
+    assert np.array_equal(out.rows, [0, 1, 3])
+    features, labels = _columns(out)
+    assert np.array_equal(features[:, 0], [1.0, 2.0, 3.0])
+    assert np.array_equal(labels, [0, 1, 0])
 
 
 def test_dedup_keeps_rows_differing_only_in_label():
-    table = data.RawTable(
-        ["a"],
-        np.array([[1.0], [1.0]]),
-        np.array([0, 1], dtype=np.int64),
-    )
+    table = raw_table(["a"], [[1.0], [1.0]], [0, 1])
     out = data.dedup(table)
     assert out.n_rows == 2
 
@@ -119,16 +125,19 @@ def test_dedup_no_duplicates_is_identity():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(20, 3))
     labels = rng.integers(0, 2, size=20).astype(np.int64)
-    out = data.dedup(data.RawTable(["a", "b", "c"], feats, labels))
-    assert np.array_equal(out.features, feats)
-    assert np.array_equal(out.labels, labels)
+    table = raw_table(["a", "b", "c"], feats, labels)
+    out = data.dedup(table)
+    assert out.cells is table.cells and np.array_equal(out.rows, table.rows)
+    features, out_labels = _columns(out)
+    assert np.array_equal(features, feats)
+    assert np.array_equal(out_labels, labels)
 
 
 def _toy_table(n_pos=6, n_neg=14, seed=1):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n_pos + n_neg, 2))
     labels = np.array([1] * n_pos + [0] * n_neg, dtype=np.int64)
-    return data.RawTable(["a", "b"], feats, labels)
+    return raw_table(["a", "b"], feats, labels)
 
 
 def test_stratified_split_exact_counts_and_disjoint():
@@ -227,11 +236,8 @@ def test_minmax_constant_column_maps_to_zero():
 def test_full_pipeline_lands_in_unit_interval():
     rng = np.random.default_rng(12)
     labels = np.array([1] * 100 + [0] * 100, dtype=np.int64)
-    table = data.RawTable(
-        ["a", "b", "c"],
-        rng.normal(5.0, 20.0, size=(200, 3)),
-        rng.permutation(labels),
-    )
+    table = raw_table(["a", "b", "c"], rng.normal(5.0, 20.0, size=(200, 3)),
+                      rng.permutation(labels))
     table = data.dedup(table)
     spec = data.SplitSpec(100, 50, 40, 20)
     train, test = data.stratified_split(table, spec, rng)
@@ -305,8 +311,9 @@ def test_load_csv_ignores_a_leading_utf8_bom(tmp_path, body):
     marked.write_bytes(b"\xef\xbb\xbf" + body)
     want, got = data.load_csv(plain), data.load_csv(marked)
     assert got.feature_names == want.feature_names
-    assert np.array_equal(got.features, want.features)
-    assert np.array_equal(got.labels, want.labels)
+    assert got.label_index == want.label_index
+    assert np.array_equal(got.cells, want.cells)
+    assert np.array_equal(got.rows, want.rows)
     marked.write_bytes(b"\xef\xbb\xbfa,b,Class\n1.0,2.0,0\n3.0,x,1\n")
     with pytest.raises(CsvParseError) as err:
         data.load_csv(marked)
@@ -318,15 +325,17 @@ def test_load_csv_header_only_is_an_empty_table(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = data.load_csv(path)
-    assert table.features.shape == (0, 2)
-    assert table.labels.shape == (0,) and table.labels.dtype == np.int64
+    assert table.cells.shape == (0, 3) and table.cells.dtype == np.float64
+    assert table.rows.shape == (0,) and table.n_rows == 0
+    features, labels = _columns(table)
+    assert features.shape == (0, 2)
+    assert labels.shape == (0,) and labels.dtype == np.int64
 
 
 # ---- property tests against the per-cell reference loader ----------------
 
 def _oracle_table(path, parse_cell=float):
-    names, features, labels = per_cell_load_csv(path, parse_cell=parse_cell)
-    return data.RawTable(names, features, labels)
+    return raw_table(*per_cell_load_csv(path, parse_cell=parse_cell))
 
 
 def _strict_float(cell: str) -> float:
@@ -339,12 +348,16 @@ def _strict_float(cell: str) -> float:
 
 
 def _same_table(got, want) -> bool:
+    """Same names, every row in play, and the same feature bytes and labels;
+    the label's position is checked where the test knows it."""
+    (got_x, got_y), (want_x, want_y) = _columns(got), _columns(want)
     return (
         got.feature_names == want.feature_names
-        and got.features.shape == want.features.shape
-        and got.features.tobytes() == want.features.tobytes()
-        and got.labels.dtype == want.labels.dtype
-        and np.array_equal(got.labels, want.labels)
+        and got.cells.dtype == np.float64
+        and np.array_equal(got.rows, np.arange(len(got.cells)))
+        and got_x.shape == want_x.shape
+        and got_x.tobytes() == want_x.tobytes()
+        and np.array_equal(got_y, want_y)
     )
 
 
@@ -391,9 +404,11 @@ def _write_bytes(tmp_path, text):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_csv_lines(), newline=_newline, trailing_newline=st.booleans())
 def test_load_csv_matches_per_cell_reference(tmp_path, table, newline, trailing_newline):
-    lines, _ = table
+    lines, label_idx = table
     path = _write_bytes(tmp_path, newline.join(lines) + (newline if trailing_newline else ""))
-    assert _same_table(data.load_csv(path), _oracle_table(path))
+    got = data.load_csv(path)
+    assert got.label_index == label_idx
+    assert _same_table(got, _oracle_table(path))
 
 
 @st.composite
@@ -466,36 +481,58 @@ def test_load_csv_reports_the_reference_error(tmp_path, lines, newline):
         st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, np.nan, -3.0]), min_size=3, max_size=3),
         min_size=1, max_size=6,
     ),
-    picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), max_size=40),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.0, -0.0, 1.0])),
+                   max_size=40),
     n_features=st.integers(1, 3),
+    label_index=st.integers(0, 3),
+    dropped=st.sets(st.integers(0, 39)),
 )
-def test_dedup_matches_np_unique(pool, picks, n_features):
+def test_dedup_matches_np_unique(pool, picks, n_features, label_index, dropped):
+    # the label sits first, between features or last; rows may differ only in
+    # the label or in a -0.0 against a 0.0, and rows out of play stay out
+    assume(label_index <= n_features)
     features = np.array([pool[i % len(pool)][:n_features] for i, _ in picks],
                         dtype=np.float64).reshape(len(picks), n_features)
-    labels = np.array([label for _, label in picks], dtype=np.int64)
-    table = data.RawTable([f"c{j}" for j in range(n_features)], features, labels)
+    labels = np.array([label for _, label in picks], dtype=np.float64)
+    in_play = np.array([i for i in range(len(picks)) if i not in dropped], dtype=np.int64)
+    table = dataclasses.replace(
+        raw_table([f"c{j}" for j in range(n_features)], features, labels, label_index),
+        rows=in_play)
     out = data.dedup(table)
-    _, first = np.unique(np.column_stack([features, labels.astype(np.float64)]),
-                         axis=0, return_index=True)
-    keep = np.sort(first)
-    assert out.features.tobytes() == features[keep].tobytes()
-    assert np.array_equal(out.labels, labels[keep])
-    assert data.dedup(out).n_rows == out.n_rows
+    # the reference: features split from int labels, np.unique's first rows
+    int_labels = labels.astype(np.int64)
+    _, first = np.unique(
+        np.column_stack([features[in_play], int_labels[in_play].astype(np.float64)]),
+        axis=0, return_index=True)
+    keep = in_play[np.sort(first)]
+    assert out.cells is table.cells and out.label_index == label_index
+    assert np.array_equal(out.rows, keep)
+    out_features, out_labels = _columns(out)
+    assert out_features.tobytes() == features[keep].tobytes()
+    assert np.array_equal(out_labels, int_labels[keep])
+    assert np.array_equal(data.dedup(out).rows, out.rows)
 
 
 # ---- split and scale invariants ------------------------------------------
 
 @st.composite
 def _split_case(draw):
-    """(table, spec): a small table whose first column is the row index,
-    and a split spec that fits it."""
+    """(table, spec): a small table whose first feature column is the row
+    index, its label at any position, some rows out of play, and a split
+    spec that fits the rows in play."""
     n_pos, n_neg = draw(st.integers(0, 10)), draw(st.integers(0, 10))
     train_pos = draw(st.integers(0, n_pos))
     test_pos = draw(st.integers(0, n_pos - train_pos))
     train_neg = draw(st.integers(0, n_neg))
     test_neg = draw(st.integers(0, n_neg - train_neg))
     assume(train_pos + train_neg >= 1 and test_pos + test_neg >= 1)
-    labels = np.array(draw(st.permutations([1] * n_pos + [0] * n_neg)), dtype=np.int64)
+    negatives = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n_neg, max_size=n_neg))
+    played = draw(st.permutations([1.0] * n_pos + negatives))
+    out_of_play = draw(st.lists(st.sampled_from([0.0, 1.0]), max_size=4))
+    in_play = np.array(draw(st.permutations([True] * len(played) + [False] * len(out_of_play))),
+                       dtype=bool)
+    labels = np.empty(len(in_play))
+    labels[in_play], labels[~in_play] = played, out_of_play
     n_columns = draw(st.integers(0, 3))
     cell = st.one_of(st.floats(-1e6, 1e6),
                      st.sampled_from([0.0, -0.0, 1.0, 1.7e308, -1.7e308]))
@@ -503,7 +540,10 @@ def _split_case(draw):
                           min_size=len(labels), max_size=len(labels)))
     drawn = np.array(cells, dtype=np.float64).reshape(len(labels), n_columns)
     features = np.column_stack([np.arange(len(labels), dtype=np.float64), drawn])
-    table = data.RawTable([f"c{j}" for j in range(features.shape[1])], features, labels)
+    label_index = draw(st.integers(0, features.shape[1]))
+    table = dataclasses.replace(
+        raw_table([f"c{j}" for j in range(features.shape[1])], features, labels, label_index),
+        rows=np.flatnonzero(in_play))
     spec = data.SplitSpec(train_pos + train_neg, test_pos + test_neg, train_pos, test_pos)
     return table, spec
 
@@ -513,14 +553,23 @@ def _split_case(draw):
 def test_split_and_scale_invariants(case, seed):
     table, spec = case
     train, test = data.stratified_split(table, spec, np.random.default_rng(seed))
+    features = np.delete(table.cells, table.label_index, axis=1)
+    labels = table.cells[:, table.label_index].astype(np.int64)
+    # the reference splits the rows in play, features apart from labels
+    want = reference_stratified_split(features[table.rows], labels[table.rows], spec,
+                                      np.random.default_rng(seed))
     sides = ((train, spec.train_size, spec.train_positives),
              (test, spec.test_size, spec.test_positives))
-    for side, size, positives in sides:
+    for (side, size, positives), (want_features, want_labels) in zip(sides, want):
+        assert side.features.shape == want_features.shape
+        assert side.features.tobytes() == want_features.tobytes()
+        assert side.labels.dtype == np.int64 and np.array_equal(side.labels, want_labels)
         assert len(side.labels) == size and side.positive_count == positives
         rows = side.features[:, 0].astype(np.int64)
         assert np.all(np.diff(rows) > 0)  # file order, no row twice
-        assert side.features.tobytes() == table.features[rows].tobytes()
-        assert np.array_equal(side.labels, table.labels[rows])
+        assert np.isin(rows, table.rows).all()  # rows in play only
+        assert side.features.tobytes() == features[rows].tobytes()
+        assert np.array_equal(side.labels, labels[rows])
     assert not set(train.features[:, 0]) & set(test.features[:, 0])
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -541,8 +590,11 @@ def test_split_and_scale_invariants(case, seed):
 
 
 def test_load_and_dedup_peak_memory_is_bounded(tmp_path):
-    # 40k x 30 like a slice of the credit-card table, with planted copies;
-    # peak traced memory stays within 3x the final feature matrix
+    # 40k x 30 like a slice of the credit-card table, with planted copies.
+    # Load and dedup share one parsed matrix and peak within 1.3x the deduped
+    # feature matrix, even with the loaded table kept; the split then gathers
+    # its rows (here nearly all of them) without the label column, and the
+    # whole stays within 2.4x
     rng = np.random.default_rng(21)
     base = rng.normal(size=(39_000, 30))
     base_labels = (rng.random(len(base)) < 0.01).astype(np.int64)
@@ -553,12 +605,20 @@ def test_load_and_dedup_peak_memory_is_bounded(tmp_path):
     with open(path, "w") as fh:
         fh.write(",".join(f"V{j}" for j in range(30)) + ",Class\n")
         np.savetxt(fh, np.column_stack([rows, labels]), fmt="%+.6f", delimiter=",")
+    positives = int(base_labels.sum())
+    spec = data.SplitSpec(26_000, 13_000 - 8, positives * 2 // 3, positives - positives * 2 // 3)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        table = data.dedup(data.load_csv(path))
+        loaded = data.load_csv(path)
+        table = data.dedup(loaded)
+        _, load_peak = tracemalloc.get_traced_memory()
+        train, test = data.stratified_split(table, spec, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.n_rows == len(base)
-    assert peak <= 3 * table.features.nbytes, peak / table.features.nbytes
+    assert (loaded.n_rows, table.n_rows) == (len(rows), len(base))
+    assert len(train.labels) + len(test.labels) == len(base) - 8
+    deduped = base.nbytes
+    assert load_peak <= 1.3 * deduped, load_peak / deduped
+    assert peak <= 2.4 * deduped, peak / deduped

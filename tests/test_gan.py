@@ -242,8 +242,10 @@ def test_huge_learning_rate_stalls_the_generator():
     # the discriminator saturates at its first step, after which the
     # generator's gradient is exactly zero in every epoch
     config = gan.GanTrainConfig(epochs=20, learning_rate=1e300, seed=9)
-    with pytest.raises(GanStalledError, match=r"from epoch 1 on .*--gan-lr"):
+    with pytest.raises(GanStalledError, match=r"from epoch 1 on .*--gan-lr") as err:
         gan.train_gan(_minority(), config)
+    # the error carries the log of every epoch
+    assert [row[0] for row in err.value.log] == list(range(1, 21))
 
 
 @pytest.mark.parametrize("zero_epochs, stalls", [(1, False), (2, True)])
