@@ -18,7 +18,7 @@ import numpy as np
 
 from ganbalance import kernels, nn
 from ganbalance.data import Dataset
-from ganbalance.errors import DegenerateDataError, ShapeError
+from ganbalance.errors import DegenerateDataError, PreconditionError, ShapeError
 
 LOGREG_LR = 1e-2
 LOGREG_EPOCHS = 200
@@ -91,6 +91,15 @@ def _require_two_classes(labels: np.ndarray, what: str) -> None:
         raise DegenerateDataError(f"{what} needs both classes in the training data")
 
 
+def _features(data: Dataset) -> np.ndarray:
+    """``data.features`` as float64; a NaN or infinite cell shows in the min or max."""
+    x = np.ascontiguousarray(data.features, dtype=np.float64)
+    if x.size and not np.isfinite([x.min(), x.max()]).all():
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        raise PreconditionError(f"feature at row {row}, column {col} is not finite")
+    return x
+
+
 def _minibatches(x, targets, epochs: int, batch_size: int, rng: np.random.Generator):
     """Every epoch's minibatches of (x, targets), each epoch in a fresh random
     row order.  One row buffer and one target buffer, refilled each epoch in
@@ -122,7 +131,7 @@ def _train_network(spec, x, targets, config: TrainConfig, learning_rate, default
 def train_logreg(data: Dataset, config: TrainConfig) -> LinearModel:
     """Adam on mean binary cross-entropy of sigmoid(w.x + b)."""
     _require_two_classes(data.labels, "logistic regression")
-    x = np.ascontiguousarray(data.features, dtype=np.float64)
+    x = _features(data)
     y = data.labels.astype(np.float64).reshape(-1, 1)
     spec = [nn.dense(x.shape[1], 1), nn.sigmoid(1)]
     params = _train_network(spec, x, y, config, LOGREG_LR, LOGREG_EPOCHS).layers[0]
@@ -132,7 +141,7 @@ def train_logreg(data: Dataset, config: TrainConfig) -> LinearModel:
 def train_svm(data: Dataset, config: TrainConfig) -> LinearModel:
     """Primal soft-margin SVM: subgradient descent on SVM_LAMBDA*|w|^2 + hinge."""
     _require_two_classes(data.labels, "SVM")
-    x = np.ascontiguousarray(data.features, dtype=np.float64)
+    x = _features(data)
     y = np.where(data.labels == 1, 1.0, -1.0)
     rng = np.random.default_rng(config.seed)
     w = np.zeros(x.shape[1])
@@ -203,7 +212,7 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
     or TREE_MAX_DEPTH; ``config`` is not read.  Each column is sorted once, at
     the root, into one (d, n) index buffer that the whole tree grows inside.
     """
-    x = np.ascontiguousarray(data.features, dtype=np.float64)
+    x = _features(data)
     y = data.labels.astype(np.int64)
     if len(y) < 1:
         raise ValueError("decision tree needs at least one row")
@@ -214,10 +223,8 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
 def train_mlp(data: Dataset, config: TrainConfig) -> nn.Network:
     """Adam on categorical cross-entropy of the 2-way softmax output."""
     _require_two_classes(data.labels, "MLP")
-    x = np.ascontiguousarray(data.features, dtype=np.float64)
-    n = x.shape[0]
-    onehot = np.zeros((n, 2))
-    onehot[np.arange(n), data.labels] = 1.0
+    x = _features(data)
+    onehot = np.eye(2)[data.labels]
     return _train_network(mlp_spec(x.shape[1]), x, onehot, config, MLP_LR, MLP_EPOCHS)
 
 

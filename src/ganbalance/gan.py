@@ -93,7 +93,7 @@ def train_gan(train: Dataset, config: GanTrainConfig) -> tuple[nn.Network, list]
         raise EmptyMinorityError("training set has no positive rows")
     if x.shape[0] < 2:
         raise PreconditionError("need at least 2 minority rows to train")
-    if x.min() < 0.0 or x.max() > 1.0:
+    if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
         raise PreconditionError("minority features must lie in [0, 1]")
 
     feature_dim = x.shape[1]

@@ -28,14 +28,16 @@ class MetricsReport:
 
 
 def _labels_and_scores(y_true, scores) -> tuple[np.ndarray, np.ndarray]:
-    """``y_true`` as an array of 0/1 labels and ``scores`` as float64, both
-    1-D and of one shape."""
+    """``y_true`` as an array of 0/1 labels and ``scores`` as finite float64,
+    both 1-D and of one shape."""
     t = np.asarray(y_true)
     s = np.asarray(scores, dtype=np.float64)
     if t.shape != s.shape or t.ndim != 1:
         raise ShapeError(f"labels/scores must match: {t.shape} vs {s.shape}")
     if not np.all((t == 0) | (t == 1)):
         raise PreconditionError("y_true must contain only 0 and 1")
+    if s.size and not np.isfinite([s.min(), s.max()]).all():  # NaN and inf show in these
+        raise PreconditionError(f"score {np.flatnonzero(~np.isfinite(s))[0]} is not finite")
     return t, s
 
 

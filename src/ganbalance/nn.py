@@ -196,29 +196,29 @@ def forward(net: Network, x, rng=None) -> tuple[np.ndarray, ForwardCache]:
     """The training pass over a (batch, features) matrix: dropout draws its
     masks from the numpy Generator ``rng`` (required when the spec has
     dropout) and batchnorm uses batch statistics, updating its running
-    averages in place.  The cache records what :func:`backward` reads."""
+    averages in place.  The cache records one entry per layer: a dense layer's
+    input, an activation's output, batchnorm's ``(xhat, var)`` or dropout's mask."""
     h = _input(net, x)
     if rng is None and net.has_dropout:
         raise PreconditionError("training with dropout layers requires an rng")
     layer_data = []
     for layer, params in zip(net.spec, net.layers):
         if layer.kind == "dense":
-            layer_data.append(("dense", h))
+            layer_data.append(h)
             h = kernels.dense_forward(h, params.weights, params.bias)
         elif layer.kind in _ACTIVATIONS:
             h = _ACTIVATIONS[layer.kind](h)
-            layer_data.append((layer.kind, h))
+            layer_data.append(h)
         elif layer.kind == "batchnorm":
             h, xhat, mean, var = kernels.batchnorm_train_forward(h, params.gamma, params.beta,
                                                                  BATCHNORM_EPS)
             m = BATCHNORM_MOMENTUM
             params.running_mean[...] = m * params.running_mean + (1.0 - m) * mean
             params.running_var[...] = m * params.running_var + (1.0 - m) * var
-            layer_data.append(("batchnorm", xhat, var))
+            layer_data.append((xhat, var))
         elif layer.kind == "dropout":
-            mult = (rng.random(h.shape) >= layer.rate) / (1.0 - layer.rate)
-            h = h * mult
-            layer_data.append(("dropout", mult))
+            layer_data.append((rng.random(h.shape) >= layer.rate) / (1.0 - layer.rate))
+            h = h * layer_data[-1]
     return h, ForwardCache(net, layer_data, h)
 
 
@@ -268,29 +268,24 @@ def loss(net: Network, predicted, targets) -> float:
 
 
 def _walk_backward(cache: ForwardCache, delta, start, fill: bool):
-    """Backpropagate ``delta`` from layer ``start`` to the input.  With
-    ``fill``, write every parameter gradient into the network's
-    ``grad_layers`` and skip layer 0's input gradient; without, return only
-    the input gradient."""
+    """Backpropagate the C-contiguous ``delta`` from layer ``start`` to the
+    input; every layer's step makes a fresh C-contiguous one.  With ``fill``,
+    write every parameter gradient into the network's ``grad_layers`` and
+    skip layer 0's input gradient; without, return only the input gradient."""
     net = cache.network
     for i in range(start, -1, -1):
-        layer = net.spec[i]
-        entry = cache.layer_data[i]
+        kind, entry = net.spec[i].kind, cache.layer_data[i]
         out = net.grad_layers[i] if fill else (None, None)
-        if layer.kind == "dense":
-            delta = kernels.dense_backward(
-                entry[1], np.ascontiguousarray(delta), net.layers[i].weights,
-                *out, not fill or i > 0,
-            )
-        elif layer.kind in _ACTIVATION_GRADS:
-            delta = _ACTIVATION_GRADS[layer.kind](entry[1], delta)
-        elif layer.kind == "batchnorm":
-            delta = kernels.batchnorm_backward(
-                np.ascontiguousarray(delta), entry[1], net.layers[i].gamma, entry[2],
-                BATCHNORM_EPS, *out,
-            )
-        elif layer.kind == "dropout":
-            delta = delta * entry[1]
+        if kind == "dense":
+            delta = kernels.dense_backward(entry, delta, net.layers[i].weights, *out,
+                                           not fill or i > 0)
+        elif kind in _ACTIVATION_GRADS:
+            delta = _ACTIVATION_GRADS[kind](entry, delta)
+        elif kind == "batchnorm":
+            delta = kernels.batchnorm_backward(delta, entry[0], net.layers[i].gamma, entry[1],
+                                               BATCHNORM_EPS, *out)
+        elif kind == "dropout":
+            delta = delta * entry
     return delta
 
 
@@ -312,9 +307,9 @@ def backward(cache: ForwardCache, targets) -> None:
 
 
 def backward_from(cache: ForwardCache, grad_output) -> None:
-    """Backpropagate an upstream gradient (chains networks, e.g. GAN G<-D)
-    into the network's ``grads``, as :func:`backward` does."""
-    delta = np.asarray(grad_output, dtype=np.float64)
+    """Backpropagate an upstream gradient in any layout (chains networks, e.g.
+    GAN G<-D) into the network's ``grads``, as :func:`backward` does."""
+    delta = np.ascontiguousarray(grad_output, dtype=np.float64)
     if delta.shape != cache.output.shape:
         raise ShapeError(
             f"upstream gradient shape {delta.shape} != output shape {cache.output.shape}"

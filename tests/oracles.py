@@ -110,20 +110,20 @@ def reference_backward(net, cache, delta, start, bn_eps=1e-5):
         entry = cache.layer_data[i]
         if kind == "dense":
             delta = np.ascontiguousarray(delta)
-            d_w = np.dot(np.ascontiguousarray(entry[1].T), delta)
+            d_w = np.dot(np.ascontiguousarray(entry.T), delta)
             d_b = np.sum(delta, axis=0)
             delta = np.dot(delta, np.ascontiguousarray(net.layers[i].weights.T))
             end = _copy_into(flat, end, d_w, d_b)
         elif kind == "relu":
-            delta = np.where(entry[1] > 0.0, delta, 0.0)
+            delta = np.where(entry > 0.0, delta, 0.0)
         elif kind == "sigmoid":
-            delta = delta * entry[1] * (1.0 - entry[1])
+            delta = delta * entry * (1.0 - entry)
         elif kind == "softmax":
-            y = entry[1]
+            y = entry
             delta = y * (delta - np.sum(delta * y, axis=1, keepdims=True))
         elif kind == "batchnorm":
             delta = np.ascontiguousarray(delta)
-            xhat, var, gamma = entry[1], entry[2], net.layers[i].gamma
+            (xhat, var), gamma = entry, net.layers[i].gamma
             n = delta.shape[0]
             d_gamma = np.sum(delta * xhat, axis=0)
             d_beta = np.sum(delta, axis=0)
@@ -133,7 +133,7 @@ def reference_backward(net, cache, delta, start, bn_eps=1e-5):
             )
             end = _copy_into(flat, end, d_gamma, d_beta)
         elif kind == "dropout":
-            delta = delta * entry[1]
+            delta = delta * entry
     return flat, delta
 
 

@@ -8,7 +8,7 @@ import pytest
 from ganbalance import classifiers as cl
 from ganbalance import nn
 from ganbalance.data import Dataset
-from ganbalance.errors import DegenerateDataError, ShapeError
+from ganbalance.errors import DegenerateDataError, PreconditionError, ShapeError
 from helpers import gaussian_blobs, parameter_arrays
 from oracles import (
     brute_force_best_split,
@@ -133,6 +133,17 @@ def test_fit_memory_peak_holds_one_epoch_buffer(trainer, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * ds.features.nbytes
+
+
+@pytest.mark.parametrize("trainer", [cl.train_logreg, cl.train_svm, cl.train_tree, cl.train_mlp])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trainers_refuse_a_non_finite_feature_by_row_and_column(trainer, bad):
+    # unchecked, a NaN cell gives NaN scores (logreg, MLP) or is fitted as data (SVM, tree)
+    ds = _label_free(n=200)
+    ds.features[150, 2] = bad
+    ds.features[170, 0] = bad
+    with pytest.raises(PreconditionError, match="^feature at row 150, column 2 is not finite$"):
+        trainer(ds, cl.TrainConfig(epochs=1))
 
 
 def test_svm_single_class_error():

@@ -138,6 +138,15 @@ def test_train_precondition_errors():
             gan.train_gan(negatives, config)
 
 
+def test_range_check_refuses_a_nan_positive_cell():
+    # NaN compares false with both bounds; unchecked, it trains and logs nan losses
+    features = np.full((10, 3), 0.5)
+    features[4, 1] = np.nan
+    with pytest.raises(PreconditionError, match=r"^minority features must lie in \[0, 1\]$"):
+        gan.train_gan(Dataset(features, np.ones(10, dtype=np.int64)),
+                      gan.GanTrainConfig(epochs=3))
+
+
 def test_train_gan_fits_the_label_1_rows_of_a_mixed_set():
     # label-0 rows interleaved with the positives change nothing, even out of [0, 1]
     positives = _minority(n=12, dim=3)

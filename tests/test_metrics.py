@@ -44,6 +44,16 @@ def test_confusion_validates_inputs():
         metrics.roc_auc([1, 2], [0.9, 0.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_are_refused_by_index(bad):
+    # unchecked, a NaN score gives AUC 0.5 and accuracy, recall and precision 1.0
+    scores = [0.1, 0.2, bad, 0.8, bad]
+    with pytest.raises(PreconditionError, match="^score 2 is not finite$"):
+        metrics.roc_auc([0, 0, 1, 1, 1], scores)
+    with pytest.raises(PreconditionError, match="^score 2 is not finite$"):
+        metrics.compute_metrics([0, 0, 1, 1, 1], scores, auc=0.5)
+
+
 def test_compute_metrics_perfect():
     rep = metrics.compute_metrics(*_scored(tp=1, tn=1), auc=1.0)
     assert rep.accuracy == rep.recall == rep.precision == rep.f1 == rep.specificity == 1.0

@@ -102,7 +102,9 @@ def test_infer_forward_keeps_no_activations_and_spares_the_callers_input():
     assert type(infer) is np.ndarray
     assert infer.tobytes() == train.tobytes()
     assert np.array_equal(x, x_before)
-    assert [entry[0] for entry in cache.layer_data] == ["dense", "relu", "dense", "relu"]
+    # one plain entry per spec layer; the last relu's is the array forward returned
+    assert len(cache.layer_data) == len(net.spec)
+    assert cache.layer_data[-1] is train
 
 
 def test_activation_examples():
@@ -286,6 +288,35 @@ def test_backward_from_matches_finite_differences():
 
     fd = finite_difference_gradients(loss, parameter_arrays(net))
     assert max_relative_error(gradient_arrays(net), fd) < 1e-4
+
+
+def test_backward_from_takes_any_layout_and_hands_each_kernel_a_contiguous_delta(monkeypatch):
+    # the upstream gradient is made C-contiguous once; every delta after it is
+    # a fresh kernel result, so no layer converts again
+    rng = np.random.default_rng(83)
+    net = nn.init_network([nn.dense(3, 4), nn.batchnorm(4), nn.relu(4), nn.dense(4, 5),
+                           nn.sigmoid(5)], rng, learning_rate=0.01)
+    _, cache = nn.forward(net, rng.normal(size=(6, 3)))
+    contiguous = []
+
+    def spying(kernel, delta_at):
+        def spy(*args):
+            contiguous.append(args[delta_at].flags.c_contiguous)
+            return kernel(*args)
+        return spy
+
+    monkeypatch.setattr(kernels, "dense_backward", spying(kernels.dense_backward, 1))
+    monkeypatch.setattr(kernels, "batchnorm_backward", spying(kernels.batchnorm_backward, 0))
+    for kind, kernel in list(nn._ACTIVATION_GRADS.items()):
+        monkeypatch.setitem(nn._ACTIVATION_GRADS, kind, spying(kernel, 1))
+    for upstream in (rng.normal(size=(5, 6)).T, rng.normal(size=(6, 10))[:, ::2]):
+        assert not upstream.flags.c_contiguous
+        nn.backward_from(cache, np.ascontiguousarray(upstream))
+        expected = net.grads.tobytes()
+        net.grads[...] = 0.0
+        nn.backward_from(cache, upstream)
+        assert net.grads.tobytes() == expected
+    assert contiguous == [True] * 20  # 5 layers, 2 calls per layout
 
 
 def test_backward_from_through_a_final_softmax_matches_finite_differences():
