@@ -1,9 +1,10 @@
 """The four downstream classifiers: logistic regression, linear SVM, CART
 decision tree, and a small MLP.
 
-All four expose the same scoring interface: predict_score returns a class-1
-score in [0,1] per row (sigmoid of the margin for the linear models, leaf
-class-1 fraction for the tree, softmax probability for the MLP).  The
+Logistic regression, the linear SVM and the MLP each return an
+``nn.Network``: the two linear models one dense layer into a sigmoid, the MLP
+a 2-way softmax.  predict_score returns a class-1 score in [0,1] per row: a
+network's last output column, or the tree's leaf class-1 fraction.  The
 pipeline labels a row 1 iff its score is strictly above
 ``metrics.THRESHOLD``.
 Iterative trainers shuffle minibatches with a seeded generator each epoch,
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ganbalance import kernels, nn
-from ganbalance.data import Dataset
-from ganbalance.errors import DegenerateDataError, PreconditionError, ShapeError
+from ganbalance.data import Dataset, finite_features
+from ganbalance.errors import DegenerateDataError, ShapeError
 
 LOGREG_LR = 1e-2
 LOGREG_EPOCHS = 200
@@ -47,14 +48,6 @@ class TrainConfig:
 
 
 @dataclass
-class LinearModel:
-    """What logistic regression and the linear SVM both learn."""
-
-    weights: np.ndarray  # (d,)
-    bias: float
-
-
-@dataclass
 class TreeNode:
     prob: float  # class-1 fraction of the training rows that reached here
     feature: int = -1  # -1 marks a leaf
@@ -73,6 +66,11 @@ class DecisionTreeModel:
     n_features: int
 
 
+def _linear_spec(input_dim: int):
+    """sigmoid(x.w + b): what logistic regression and the linear SVM both learn."""
+    return [nn.dense(input_dim, 1), nn.sigmoid(1)]
+
+
 def mlp_spec(input_dim: int):
     """Two hidden layers (relu, then sigmoid) into a 2-way softmax."""
     hidden = MLP_HIDDEN
@@ -89,15 +87,6 @@ def mlp_spec(input_dim: int):
 def _require_two_classes(labels: np.ndarray, what: str) -> None:
     if len(np.unique(labels)) < 2:
         raise DegenerateDataError(f"{what} needs both classes in the training data")
-
-
-def _features(data: Dataset) -> np.ndarray:
-    """``data.features`` as float64; a NaN or infinite cell shows in the min or max."""
-    x = np.ascontiguousarray(data.features, dtype=np.float64)
-    if x.size and not np.isfinite([x.min(), x.max()]).all():
-        row, col = np.argwhere(~np.isfinite(x))[0]
-        raise PreconditionError(f"feature at row {row}, column {col} is not finite")
-    return x
 
 
 def _minibatches(x, targets, epochs: int, batch_size: int, rng: np.random.Generator):
@@ -128,20 +117,20 @@ def _train_network(spec, x, targets, config: TrainConfig, learning_rate, default
     return net
 
 
-def train_logreg(data: Dataset, config: TrainConfig) -> LinearModel:
+def train_logreg(data: Dataset, config: TrainConfig) -> nn.Network:
     """Adam on mean binary cross-entropy of sigmoid(w.x + b)."""
     _require_two_classes(data.labels, "logistic regression")
-    x = _features(data)
+    x = finite_features(data.features)
     y = data.labels.astype(np.float64).reshape(-1, 1)
-    spec = [nn.dense(x.shape[1], 1), nn.sigmoid(1)]
-    params = _train_network(spec, x, y, config, LOGREG_LR, LOGREG_EPOCHS).layers[0]
-    return LinearModel(params.weights[:, 0].copy(), float(params.bias[0]))
+    return _train_network(_linear_spec(x.shape[1]), x, y, config, LOGREG_LR, LOGREG_EPOCHS)
 
 
-def train_svm(data: Dataset, config: TrainConfig) -> LinearModel:
-    """Primal soft-margin SVM: subgradient descent on SVM_LAMBDA*|w|^2 + hinge."""
+def train_svm(data: Dataset, config: TrainConfig) -> nn.Network:
+    """Primal soft-margin SVM: subgradient descent on SVM_LAMBDA*|w|^2 + hinge.
+    The fitted (w, b) is returned in logistic regression's network; it has
+    taken no Adam step."""
     _require_two_classes(data.labels, "SVM")
-    x = _features(data)
+    x = finite_features(data.features)
     y = np.where(data.labels == 1, 1.0, -1.0)
     rng = np.random.default_rng(config.seed)
     w = np.zeros(x.shape[1])
@@ -154,7 +143,9 @@ def train_svm(data: Dataset, config: TrainConfig) -> LinearModel:
         grad_b = -float(np.add.reduce(y_violating)) / len(yb)
         w -= SVM_LR * grad_w
         b -= SVM_LR * grad_b
-    return LinearModel(w, b)
+    net = nn.init_network(_linear_spec(len(w)), rng, SVM_LR)  # after the last training draw
+    net.layers[0].weights[:, 0], net.layers[0].bias[0] = w, b
+    return net
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, sorted_rows: np.ndarray, depth: int) -> TreeNode:
@@ -212,7 +203,7 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
     or TREE_MAX_DEPTH; ``config`` is not read.  Each column is sorted once, at
     the root, into one (d, n) index buffer that the whole tree grows inside.
     """
-    x = _features(data)
+    x = finite_features(data.features)
     y = data.labels.astype(np.int64)
     if len(y) < 1:
         raise ValueError("decision tree needs at least one row")
@@ -223,7 +214,7 @@ def train_tree(data: Dataset, config: TrainConfig) -> DecisionTreeModel:
 def train_mlp(data: Dataset, config: TrainConfig) -> nn.Network:
     """Adam on categorical cross-entropy of the 2-way softmax output."""
     _require_two_classes(data.labels, "MLP")
-    x = _features(data)
+    x = finite_features(data.features)
     onehot = np.eye(2)[data.labels]
     return _train_network(mlp_spec(x.shape[1]), x, onehot, config, MLP_LR, MLP_EPOCHS)
 
@@ -237,24 +228,17 @@ def _tree_scores(node: TreeNode, x: np.ndarray, idx: np.ndarray, out: np.ndarray
     _tree_scores(node.right, x, idx[~go_left], out)
 
 
-def _check_width(x: np.ndarray, expected: int) -> None:
-    if x.shape[1] != expected:
-        raise ShapeError(f"model expects {expected} features, input has {x.shape[1]}")
-
-
 def predict_score(model, X) -> np.ndarray:
-    """Class-1 score in [0,1] per row, suitable for ROC/AUC."""
-    x = np.ascontiguousarray(X, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"input must be 2-D, got shape {x.shape}")
-    if isinstance(model, LinearModel):
-        _check_width(x, len(model.weights))
-        return kernels.sigmoid_forward(x @ model.weights + model.bias)
-    if isinstance(model, DecisionTreeModel):
-        _check_width(x, model.n_features)
-        out = np.empty(x.shape[0])
-        _tree_scores(model.root, x, np.arange(x.shape[0]), out)
-        return out
+    """Class-1 score in [0,1] per row, suitable for ROC/AUC: a network's last
+    output column, or the tree's leaf class-1 fraction."""
     if isinstance(model, nn.Network):
-        return nn.predict(model, x)[:, 1]
-    raise TypeError(f"unknown model type {type(model).__name__}")
+        return nn.predict(model, X)[:, -1]
+    if not isinstance(model, DecisionTreeModel):
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    x = np.ascontiguousarray(X, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.n_features:
+        raise ShapeError(f"input must be 2-D with the tree's {model.n_features} features, "
+                         f"got shape {x.shape}")
+    out = np.empty(x.shape[0])
+    _tree_scores(model.root, x, np.arange(x.shape[0]), out)
+    return out

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ganbalance.errors import CapacityError, CsvParseError, SchemaError
+from ganbalance.errors import CapacityError, CsvParseError, PreconditionError, SchemaError
 
 
 @dataclass
@@ -241,6 +241,16 @@ def stratified_split(
                          table.cells[rows, table.label_index].astype(np.int64)) for rows in sides)
 
 
+def finite_features(features, what: str = "feature") -> np.ndarray:
+    """``features`` as a C-ordered float64 matrix.  PreconditionError names the
+    first NaN or infinite cell, which shows in the min or max before a mask is built."""
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    if x.size and not np.isfinite([x.min(), x.max()]).all():
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        raise PreconditionError(f"{what} at row {row}, column {col} is not finite")
+    return x
+
+
 def scale_train_test(
     train: Dataset, test: Dataset, feature_names: list
 ) -> tuple[Dataset, Dataset]:
@@ -250,11 +260,14 @@ def scale_train_test(
     deviation is below DEGENERATE_EPS is only centred; one whose standardized
     train range is below it maps to 0.
 
-    Raises SchemaError naming the first column whose train mean or standard
+    Raises PreconditionError naming the side, row and column of a non-finite
+    cell, and SchemaError naming the first column whose train mean or standard
     deviation overflows float64.  With both finite every standardized train
     value is finite; a test value may still overflow to +-inf, which the
     min-max stage clamps to 1 or 0 like any value outside the train range.
     """
+    finite_features(train.features, "train feature")
+    finite_features(test.features, "test feature")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train.features.mean(axis=0)
         std = train.features.std(axis=0)  # ddof=0, population convention

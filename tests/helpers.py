@@ -77,6 +77,16 @@ def random_network_case(rng: np.random.Generator, loss_kind: str, hidden_kinds=N
     return net, x, targets
 
 
+def linear_network(weights, bias) -> nn.Network:
+    """The one-layer sigmoid network that logistic regression and the linear
+    SVM return, holding the weight vector ``weights`` and the scalar ``bias``."""
+    weights = np.asarray(weights, dtype=np.float64)
+    net = nn.init_network([nn.dense(len(weights), 1), nn.sigmoid(1)],
+                          np.random.default_rng(0), learning_rate=1e-2)
+    net.layers[0].weights[:, 0], net.layers[0].bias[0] = weights, bias
+    return net
+
+
 def fresh_generator(feature_dim: int, seed: int = 0) -> nn.Network:
     """An untrained generator network with Glorot weights drawn from ``seed``."""
     return nn.init_network(

@@ -6,7 +6,8 @@ from exhaustive enumeration, the split scan from a plain loop, Adam from one
 update per parameter array, CSV cells from one ``float()`` call each and
 trees from an argsort at every node, so a shared bug cannot hide in both
 routes.  The backward walk and the SVM loop are also kept here in their
-allocating form, to pin the in-place library versions to them bit for bit.
+allocating form, to pin the in-place library versions to them bit for bit,
+and the linear models' old scoring formula, to pin network scoring to it.
 The SVM and network training loops gather each minibatch's rows by index,
 to pin the library's slices of one shuffled copy per epoch to them.  The
 output CSVs are written by one f-string per value, to pin the shared
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ganbalance import nn
+from ganbalance import kernels, nn
 from ganbalance.classifiers import TreeNode
 from ganbalance.errors import CsvParseError, SchemaError
 
@@ -180,6 +181,13 @@ def reference_train_network(spec, x, targets, epochs, batch_size, learning_rate,
             nn.backward(cache, targets[idx])
             nn.adam_step(net)
     return net
+
+
+def linear_score(x, w, b):
+    """sigmoid(x @ w + b) as a matrix-vector product and the sigmoid kernel:
+    how logistic regression and the SVM scored rows before they returned
+    networks, which the pinned output digests were written with."""
+    return kernels.sigmoid_forward(x @ w + b)
 
 
 def pair_count_auc(y_true, scores) -> float:

@@ -9,9 +9,10 @@ from ganbalance import classifiers as cl
 from ganbalance import nn
 from ganbalance.data import Dataset
 from ganbalance.errors import DegenerateDataError, PreconditionError, ShapeError
-from helpers import gaussian_blobs, parameter_arrays
+from helpers import gaussian_blobs, linear_network, parameter_arrays
 from oracles import (
     brute_force_best_split,
+    linear_score,
     per_node_argsort_tree,
     reference_svm,
     reference_train_network,
@@ -55,7 +56,7 @@ def test_logreg_deterministic():
     ds = _separable_1d(seed=4)
     a = cl.train_logreg(ds, cl.TrainConfig(seed=5))
     b = cl.train_logreg(ds, cl.TrainConfig(seed=5))
-    assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    assert a.flat.tobytes() == b.flat.tobytes()
 
 
 def test_logreg_single_class_error():
@@ -68,7 +69,9 @@ def test_svm_separable_classifies_training_set(monkeypatch):
     monkeypatch.setattr(cl, "SVM_LR", 0.05)
     ds = _separable_1d(seed=6)
     model = cl.train_svm(ds, cl.TrainConfig(epochs=300, seed=7))
-    margins = ds.features @ model.weights + model.bias
+    assert model.step_count == 0
+    w, b = model.layers[0].weights[:, 0], model.layers[0].bias[0]
+    margins = ds.features @ w + b
     signs = np.where(margins > 0.0, 1, 0)
     assert np.array_equal(signs, ds.labels)
 
@@ -77,7 +80,7 @@ def test_svm_deterministic():
     ds = _separable_1d(seed=10)
     a = cl.train_svm(ds, cl.TrainConfig(seed=11))
     b = cl.train_svm(ds, cl.TrainConfig(seed=11))
-    assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    assert a.flat.tobytes() == b.flat.tobytes()
 
 
 @pytest.mark.parametrize("dim", [10, 30])
@@ -90,8 +93,9 @@ def test_svm_matches_reference_loop_bit_for_bit(dim, learning_rate, monkeypatch)
     model = cl.train_svm(ds, config)
     w, b, quiet = reference_svm(ds.features, ds.labels, 40, config.batch_size,
                                 learning_rate, cl.SVM_LAMBDA, 5)
-    assert np.array_equal(model.weights, w)
-    assert model.bias == b
+    assert model.step_count == 0
+    assert np.array_equal(model.layers[0].weights[:, 0], w)
+    assert model.layers[0].bias[0] == b
     if learning_rate == 0.5:
         assert quiet > 0  # the branch without margin violators ran too
 
@@ -107,8 +111,7 @@ def test_network_trainers_match_reference_loop_bit_for_bit(dim, monkeypatch):
     logreg = cl.train_logreg(ds, config)
     reference = reference_train_network([nn.dense(dim, 1), nn.sigmoid(1)], ds.features,
                                         ds.labels.astype(np.float64).reshape(-1, 1), *args)
-    assert np.array_equal(logreg.weights, reference.layers[0].weights[:, 0])
-    assert logreg.bias == reference.layers[0].bias[0]
+    assert np.array_equal(logreg.flat, reference.flat)
     mlp = cl.train_mlp(ds, config)
     reference = reference_train_network(cl.mlp_spec(dim), ds.features, np.eye(2)[ds.labels],
                                         *args)
@@ -275,7 +278,7 @@ def test_mlp_label_agrees_with_argmax():
 
 
 def test_predict_score_trivial_values():
-    linear = cl.LinearModel(np.zeros(3), 0.0)
+    linear = linear_network(np.zeros(3), 0.0)
     assert np.array_equal(cl.predict_score(linear, np.ones((2, 3))), [0.5, 0.5])
 
     leaf = cl.TreeNode(prob=0.25)
@@ -284,11 +287,12 @@ def test_predict_score_trivial_values():
 
 
 def test_predict_score_shape_error():
-    model = cl.LinearModel(np.zeros(3), 0.0)
-    with pytest.raises(ShapeError):
-        cl.predict_score(model, np.ones((2, 4)))
-    with pytest.raises(ShapeError, match="must be 2-D"):
-        cl.predict_score(model, np.ones(3))
+    tree = cl.DecisionTreeModel(cl.TreeNode(prob=0.25), 3)
+    for model in (linear_network(np.zeros(3), 0.0), tree):
+        with pytest.raises(ShapeError):
+            cl.predict_score(model, np.ones((2, 4)))
+        with pytest.raises(ShapeError, match="must be 2-D"):
+            cl.predict_score(model, np.ones(3))
 
 
 def test_predict_score_unknown_model_type():
@@ -298,10 +302,24 @@ def test_predict_score_unknown_model_type():
 
 def test_score_monotone_in_margin():
     rng = np.random.default_rng(23)
-    model = cl.LinearModel(rng.normal(size=4), 0.3)
+    w = rng.normal(size=4)
+    model = linear_network(w, 0.3)
     x = rng.normal(size=(30, 4))
-    margins = x @ model.weights + model.bias
+    margins = x @ w + 0.3
     scores = cl.predict_score(model, x)
     order_m = np.argsort(margins)
     order_s = np.argsort(scores)
     assert np.array_equal(order_m, order_s)
+
+
+@pytest.mark.parametrize("rows, dim", [(5000, 10), (10000, 30), (1, 1), (7, 3), (333, 17),
+                                       (64, 64)])
+def test_linear_network_scores_equal_the_matrix_vector_formula_bit_for_bit(rows, dim):
+    # the pinned output digests hold only while a one-layer network scores
+    # each row exactly as sigmoid(x @ w + b) did, at the desk and wide shapes too
+    rng = np.random.default_rng(rows + dim)
+    x = rng.uniform(0.0, 1.0, size=(rows, dim))
+    w, b = rng.normal(scale=3.0, size=dim), float(rng.normal())
+    scores = cl.predict_score(linear_network(w, b), x)
+    assert scores.shape == (rows,)
+    assert scores.tobytes() == linear_score(x, w, b).tobytes()

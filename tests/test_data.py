@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ganbalance import data
-from ganbalance.errors import CapacityError, CsvParseError, SchemaError
+from ganbalance.errors import CapacityError, CsvParseError, PreconditionError, SchemaError
 from helpers import raw_table
 from oracles import per_cell_load_csv, reference_stratified_split
 
@@ -191,6 +191,21 @@ def _scale(train_column, test_column):
 
     train, test = data.scale_train_test(side(train_column), side(test_column), ["x"])
     return train.features[:, 0], test.features[:, 0]
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scaling_refuses_a_non_finite_cell_by_side_row_and_column(side, bad):
+    # unchecked, a NaN test cell reached the scaled set, an inf one became
+    # 1.0, and a bad train cell was reported as an overflowing column
+    rng = np.random.default_rng(4)
+    sets = {name: data.Dataset(rng.normal(size=(n, 3)), np.zeros(n, dtype=np.int64))
+            for name, n in (("train", 20), ("test", 10))}
+    sets[side].features[7, 2] = bad
+    sets[side].features[8, 0] = bad
+    with pytest.raises(PreconditionError,
+                       match=f"^{side} feature at row 7, column 2 is not finite$"):
+        data.scale_train_test(sets["train"], sets["test"], ["a", "b", "c"])
 
 
 def test_standard_scaler_hand_values():

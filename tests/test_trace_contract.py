@@ -6,7 +6,9 @@ as ``experiment._TRAINERS``).  A trainer or other counted function reached
 any other way escapes the trace, and ``checks.check_trace_facts`` then
 reports missing Adam updates or AUCs; a kernel reached that way (held in a
 tuple, say) shows zero calls, so the all-mode run must call every kernel
-that ``perfbench/run.py`` reports.  The tracer rewraps every module
+that ``perfbench/run.py`` reports.  A third run is shaped like the wide
+workload (raw and oversample, SVM and tree, no GAN), whose SVM scores
+through ``nn`` without an Adam update.  The tracer rewraps every module
 function, so each run happens in its own process.  ``perfbench/microbench.py``
 calls the trainers and builds their configs itself, so it runs here too, at
 its smallest size.
@@ -33,10 +35,13 @@ from workloads import Split, Table, Workload  # noqa: E402
 TABLE = Table("tiny", 4, positives=60, negatives=400, dup_positives=2, dup_negatives=3)
 SPLIT = Split(train_size=200, test_size=100, train_pos=30, test_pos=15)
 WORKLOADS = [
-    Workload("tiny-run", "run", TABLE, SPLIT, gan_epochs=30,
-             modes=("raw", "oversample", "gan"), models=("svm", "dt", "logreg", "mlp"),
-             mlp_epochs=3),
-    Workload("tiny-synth", "synth", TABLE, SPLIT, gan_epochs=30, synth_n=50),
+    pytest.param(Workload("tiny-run", "run", TABLE, SPLIT, gan_epochs=30,
+                          modes=("raw", "oversample", "gan"),
+                          models=("svm", "dt", "logreg", "mlp"), mlp_epochs=3), id="run"),
+    pytest.param(Workload("tiny-synth", "synth", TABLE, SPLIT, gan_epochs=30, synth_n=50),
+                 id="synth"),
+    pytest.param(Workload("tiny-wide", "run", TABLE, SPLIT, gan_epochs=None,
+                          modes=("raw", "oversample"), models=("svm", "dt")), id="wide"),
 ]
 
 
@@ -59,7 +64,7 @@ def table_csv(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.command)
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_cli_run_meets_the_trace_checks(workload, table_csv, tmp_path):
     trace_path, out_dir = tmp_path / "trace.json", tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -73,7 +78,7 @@ def test_traced_cli_run_meets_the_trace_checks(workload, table_csv, tmp_path):
     trace = json.loads(trace_path.read_text())
     assert checks.check_trace_facts(trace["facts"], workload) == []
     assert checks.check_outputs(out_dir, workload) == []
-    if workload.command == "run":
+    if workload.name == "tiny-run":  # without the MLP or GAN no batchnorm, dropout or softmax runs
         calls = {k: trace["stats"].get(f"kernels.{k}", [0])[0] for k in bench_run.KERNELS}
         assert [k for k, n in calls.items() if n < 1] == []
 
